@@ -1,14 +1,15 @@
 #include "report/repro.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse_count.hh"
 #include "common/stats.hh"
 #include "obs/progress.hh"
 #include "obs/span_trace.hh"
@@ -222,7 +223,6 @@ runRepro(const ReproOptions &opts)
             run.stats = opts.stats;
             run.tracer = opts.tracer;
             run.fork = opts.fork;
-            run.batch = opts.batch;
             run.onCellDone = [&](const SweepCell &cell,
                                  const CellResult &result) {
                 log(f->id + ": " + cell.key());
@@ -309,9 +309,10 @@ figureMain(const std::string &figure_id, int argc, char **argv)
                 if (!item.empty())
                     fo.workloads.push_back(item);
         } else if (a == "--branches") {
-            fo.branches = std::strtoull(next().c_str(), nullptr, 10);
+            fo.branches = parseCountFlag(a, next());
         } else if (a == "--jobs") {
-            jobs = unsigned(std::atoi(next().c_str()));
+            jobs = unsigned(parseCountFlag(
+                a, next(), std::numeric_limits<unsigned>::max()));
         } else if (a == "--quick") {
             quick = true;
         } else {

@@ -83,7 +83,10 @@ class CommittedStream
             return &window[static_cast<std::size_t>(head + (idx - base)) &
                            (window.size() - 1)];
         }
-        ++refillCount; // cold path: counting here costs nothing hot
+        // Not a cold path: atSlow() produces only up to @p idx, so
+        // every record is first read through here (refills ==
+        // produced on every workload).
+        ++refillCount;
         return atSlow(idx);
     }
 

@@ -184,14 +184,6 @@ class TimingSim
      */
     TimingStats resumeRun(CommittedStream &committed);
 
-    /**
-     * The validation/arming half of resumeRun() without the
-     * run-to-completion: after this, a forked simulator can be driven
-     * with stepUntil()/finishRun() like any other — how the batch
-     * runner keeps peeled forks in its lockstep (DESIGN.md §12).
-     */
-    void armResume(CommittedStream &committed);
-
     /** Committed branches so far (the fork/snapshot cursor). */
     std::uint64_t committedSoFar() const { return commitIdx; }
     /// @}
@@ -247,8 +239,8 @@ class TimingSim
  * longer canonical one while the instruction window is still inside
  * warmup lookahead; covering the window depth (>= 1 uop per block)
  * plus one retire burst makes the trajectories provably identical up
- * to any in-warmup snapshot. Short-measure cells take the replay
- * path instead.
+ * to any in-warmup snapshot. Short-measure cells run as chains of
+ * one instead.
  */
 inline bool
 timingForkable(const TimingConfig &cfg)

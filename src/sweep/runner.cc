@@ -16,31 +16,25 @@ namespace
 {
 
 /**
- * A schedulable piece of a sweep: either one cell on the replay path
- * (one full simulation) or a fork chain — every pending cell of one
- * fork group, executed as a single canonical simulation plus a clone
- * per earlier snapshot point (DESIGN.md §11).
+ * A schedulable piece of a sweep: the pending cells of one fork
+ * group, executed as one chain (DESIGN.md §11) — a single canonical
+ * simulation plus a clone per earlier snapshot point. A unit of one
+ * member is a plain run; a unit is a fork chain exactly when it has
+ * more than one member.
  */
 struct SweepUnit
 {
     std::vector<std::size_t> members; //!< indices into `pending`
-    bool chain = false;
 
-    /**
-     * Batch mode: the members partitioned into fork groups, each a
-     * list of indices into `members` (multi-member groups fork
-     * inside the batch; the rest are singleton lanes). Non-empty
-     * exactly when this unit is a batched (workload, mode) pass.
-     */
-    std::vector<std::vector<std::size_t>> batchGroups;
+    bool chain() const { return members.size() > 1; }
 };
 
-/** Whether a whole fork group may take the chain path. */
+/** Whether a whole fork group may run as one fork chain. */
 bool
 chainable(const std::vector<const SweepCell *> &group)
 {
     if (group.size() < 2)
-        return false; // nothing shared; replay is the same work
+        return false; // nothing shared; a chain of one is the same work
     for (const SweepCell *cell : group) {
         if (cell->oracleFutureBits)
             return false; // the oracle stream cannot be forked
@@ -55,7 +49,8 @@ chainable(const std::vector<const SweepCell *> &group)
 /**
  * Partition the pending cells into units. Grouping is by
  * forkGroupKey(), so only cells that are provably prefixes of the
- * same simulation ever chain; everything else replays unchanged.
+ * same simulation ever chain; everything else runs as a chain of
+ * one. With @p fork off every cell is its own unit.
  */
 std::vector<SweepUnit>
 planUnits(const std::vector<const SweepCell *> &pending, bool fork)
@@ -63,7 +58,7 @@ planUnits(const std::vector<const SweepCell *> &pending, bool fork)
     std::vector<SweepUnit> units;
     if (!fork) {
         for (std::size_t i = 0; i < pending.size(); ++i)
-            units.push_back({{i}, false});
+            units.push_back({{i}});
         return units;
     }
 
@@ -83,64 +78,11 @@ planUnits(const std::vector<const SweepCell *> &pending, bool fork)
         for (const std::size_t i : members)
             cells.push_back(pending[i]);
         if (chainable(cells)) {
-            units.push_back({members, true, {}});
+            units.push_back({members});
         } else {
             for (const std::size_t i : members)
-                units.push_back({{i}, false, {}});
+                units.push_back({{i}});
         }
-    }
-    return units;
-}
-
-/**
- * Batch-mode planning: one unit per (workload, mode) pair — a single
- * lockstep pass over that workload's shared stream — with the unit's
- * members partitioned into fork groups by forkGroupKey(). Chainable
- * groups stay together (they fork inside the batch); everything else
- * splits into unrestricted singleton lanes.
- */
-std::vector<SweepUnit>
-planBatchUnits(const std::vector<const SweepCell *> &pending)
-{
-    std::vector<std::string> unit_order;
-    std::map<std::string, std::vector<std::size_t>> parts;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const std::string key = pending[i]->workload->name +
-                                (pending[i]->timing ? "|t" : "|a");
-        auto [it, inserted] = parts.try_emplace(key);
-        if (inserted)
-            unit_order.push_back(key);
-        it->second.push_back(i);
-    }
-
-    std::vector<SweepUnit> units;
-    for (const std::string &ukey : unit_order) {
-        SweepUnit unit;
-        unit.members = parts[ukey];
-
-        std::vector<std::string> group_order;
-        std::map<std::string, std::vector<std::size_t>> groups;
-        for (std::size_t j = 0; j < unit.members.size(); ++j) {
-            const std::string key =
-                pending[unit.members[j]]->forkGroupKey();
-            auto [it, inserted] = groups.try_emplace(key);
-            if (inserted)
-                group_order.push_back(key);
-            it->second.push_back(j);
-        }
-        for (const std::string &key : group_order) {
-            const std::vector<std::size_t> &g = groups[key];
-            std::vector<const SweepCell *> cells;
-            for (const std::size_t j : g)
-                cells.push_back(pending[unit.members[j]]);
-            if (chainable(cells)) {
-                unit.batchGroups.push_back(g);
-            } else {
-                for (const std::size_t j : g)
-                    unit.batchGroups.push_back({j});
-            }
-        }
-        units.push_back(std::move(unit));
     }
     return units;
 }
@@ -174,15 +116,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     std::uint64_t fork_cells_forked = 0;
     std::uint64_t fork_warmup_saved = 0;
 
-    // Batch-execution host counters (populated only in batch mode).
-    std::uint64_t batch_units = 0;
-    std::uint64_t batch_groups = 0;
-    std::uint64_t batch_members = 0;
-    std::uint64_t batch_snapshots = 0;
-    std::uint64_t batch_warmup_saved = 0;
-    std::uint64_t batch_stream_saved = 0;
-    std::uint64_t batch_window_peak = 0;
-
     // add (not set): a repro run funnels many sweeps into one
     // registry. The caller owns store.exportStats (a store can back
     // several sweeps; exporting it here would double-count).
@@ -200,22 +133,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                            fork_cells_forked);
         opt.stats->addHost("sweep.fork.warmup_branches_saved",
                            fork_warmup_saved);
-        if (opt.batch) {
-            opt.stats->addHost("sweep.batch.units", batch_units);
-            opt.stats->addHost("sweep.batch.groups", batch_groups);
-            opt.stats->addHost("sweep.batch.members", batch_members);
-            opt.stats->addHost("sweep.batch.snapshots",
-                               batch_snapshots);
-            opt.stats->addHost("sweep.batch.warmup_branches_saved",
-                               batch_warmup_saved);
-            // Committed records members consumed minus records the
-            // shared source actually produced: the CFG walks / trace
-            // decodes the fanout amortized away.
-            opt.stats->addHost("sweep.batch.stream_records_saved",
-                               batch_stream_saved);
-            opt.stats->setHostMax("sweep.batch.source_window_peak",
-                                  batch_window_peak);
-        }
         if (pool)
             pool->exportStats(*opt.stats);
     };
@@ -234,9 +151,7 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     std::mutex flushMutex;
 
     const bool collect = opt.stats != nullptr || opt.cellStats;
-    const std::vector<SweepUnit> units =
-        opt.batch ? planBatchUnits(pending)
-                  : planUnits(pending, opt.fork);
+    const std::vector<SweepUnit> units = planUnits(pending, opt.fork);
 
     ThreadPool pool(opt.jobs);
     if (opt.tracer) {
@@ -256,120 +171,40 @@ runSweep(const SweepSpec &spec, ResultStore &store,
         std::vector<StatRegistry> regs(unit.members.size());
         std::vector<CellResult> unitResults(unit.members.size());
         ChainObs chainObs;
-        BatchObs batchObs;
 
-        if (!unit.batchGroups.empty()) {
-            // One lockstep pass over this (workload, mode)'s shared
-            // stream; multi-member groups fork inside it. Results are
-            // bit-identical to the chain and replay paths, cell by
-            // cell (the batched differential tests pin this).
-            if (first.timing) {
-                std::vector<HybridSpec> specs;
-                std::vector<std::vector<TimingConfig>> groups;
-                for (const std::vector<std::size_t> &bg :
-                     unit.batchGroups) {
-                    specs.push_back(pending[unit.members[bg[0]]]->spec);
-                    std::vector<TimingConfig> cfgs;
-                    for (const std::size_t j : bg) {
-                        TimingConfig tc =
-                            pending[unit.members[j]]->timingConfig();
-                        if (collect)
-                            tc.statsOut = &regs[j];
-                        cfgs.push_back(tc);
-                    }
-                    groups.push_back(std::move(cfgs));
-                }
-                const auto stats = runTimingBatch(
-                    *first.workload, specs, groups, &batchObs);
-                for (std::size_t g = 0; g < unit.batchGroups.size();
-                     ++g) {
-                    const std::vector<std::size_t> &bg =
-                        unit.batchGroups[g];
-                    for (std::size_t j = 0; j < bg.size(); ++j) {
-                        unitResults[bg[j]] = CellResult::fromTimingRun(
-                            *pending[unit.members[bg[j]]],
-                            stats[g][j]);
-                    }
-                }
-            } else {
-                std::vector<HybridSpec> specs;
-                std::vector<std::vector<EngineConfig>> groups;
-                for (const std::vector<std::size_t> &bg :
-                     unit.batchGroups) {
-                    specs.push_back(pending[unit.members[bg[0]]]->spec);
-                    std::vector<EngineConfig> cfgs;
-                    for (const std::size_t j : bg) {
-                        EngineConfig ec =
-                            pending[unit.members[j]]->engineConfig();
-                        if (collect)
-                            ec.statsOut = &regs[j];
-                        cfgs.push_back(ec);
-                    }
-                    groups.push_back(std::move(cfgs));
-                }
-                const auto stats = runAccuracyBatch(
-                    *first.workload, specs, groups, &batchObs);
-                for (std::size_t g = 0; g < unit.batchGroups.size();
-                     ++g) {
-                    const std::vector<std::size_t> &bg =
-                        unit.batchGroups[g];
-                    for (std::size_t j = 0; j < bg.size(); ++j) {
-                        unitResults[bg[j]] = CellResult::fromRun(
-                            *pending[unit.members[bg[j]]],
-                            stats[g][j]);
-                    }
-                }
+        // One canonical simulation; every other member is a
+        // mid-warmup fork of it (DESIGN.md §11), bit-identical to a
+        // chain of one per cell.
+        if (first.timing) {
+            std::vector<TimingConfig> cfgs;
+            cfgs.reserve(unit.members.size());
+            for (std::size_t j = 0; j < unit.members.size(); ++j) {
+                TimingConfig tc = pending[unit.members[j]]->timingConfig();
+                if (collect)
+                    tc.statsOut = &regs[j];
+                cfgs.push_back(tc);
             }
-        } else if (unit.chain) {
-            // One canonical simulation; every other member is a
-            // mid-warmup fork of it (DESIGN.md §11). Bit-identical
-            // to the replay path below, cell by cell.
-            if (first.timing) {
-                std::vector<TimingConfig> cfgs;
-                cfgs.reserve(unit.members.size());
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    TimingConfig tc =
-                        pending[unit.members[j]]->timingConfig();
-                    if (collect)
-                        tc.statsOut = &regs[j];
-                    cfgs.push_back(tc);
-                }
-                const std::vector<TimingStats> stats = runTimingChain(
-                    *first.workload, first.spec, cfgs, &chainObs);
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    unitResults[j] = CellResult::fromTimingRun(
-                        *pending[unit.members[j]], stats[j]);
-                }
-            } else {
-                std::vector<EngineConfig> cfgs;
-                cfgs.reserve(unit.members.size());
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    EngineConfig ec =
-                        pending[unit.members[j]]->engineConfig();
-                    if (collect)
-                        ec.statsOut = &regs[j];
-                    cfgs.push_back(ec);
-                }
-                const std::vector<EngineStats> stats =
-                    runAccuracyChain(*first.workload, first.spec, cfgs,
-                                     &chainObs);
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    unitResults[j] = CellResult::fromRun(
-                        *pending[unit.members[j]], stats[j]);
-                }
+            const std::vector<TimingStats> stats = runTimingChain(
+                *first.workload, first.spec, cfgs, &chainObs);
+            for (std::size_t j = 0; j < unit.members.size(); ++j) {
+                unitResults[j] = CellResult::fromTimingRun(
+                    *pending[unit.members[j]], stats[j]);
             }
-        } else if (first.timing) {
-            TimingConfig tc = first.timingConfig();
-            if (collect)
-                tc.statsOut = &regs[0];
-            unitResults[0] = CellResult::fromTimingRun(
-                first, runTiming(*first.workload, first.spec, tc));
         } else {
-            EngineConfig ec = first.engineConfig();
-            if (collect)
-                ec.statsOut = &regs[0];
-            unitResults[0] = CellResult::fromRun(
-                first, runAccuracy(*first.workload, first.spec, ec));
+            std::vector<EngineConfig> cfgs;
+            cfgs.reserve(unit.members.size());
+            for (std::size_t j = 0; j < unit.members.size(); ++j) {
+                EngineConfig ec = pending[unit.members[j]]->engineConfig();
+                if (collect)
+                    ec.statsOut = &regs[j];
+                cfgs.push_back(ec);
+            }
+            const std::vector<EngineStats> stats = runAccuracyChain(
+                *first.workload, first.spec, cfgs, &chainObs);
+            for (std::size_t j = 0; j < unit.members.size(); ++j) {
+                unitResults[j] = CellResult::fromRun(
+                    *pending[unit.members[j]], stats[j]);
+            }
         }
 
         if (opt.cellStats) {
@@ -377,17 +212,10 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                 unitResults[j].stats = regs[j].simScalars();
         }
         if (opt.tracer) {
-            const bool batched = !unit.batchGroups.empty();
-            const std::string name =
-                batched ? first.workload->name +
-                              (first.timing ? "|timing" : "|accuracy")
-                : unit.chain ? first.forkGroupKey()
-                             : first.key();
-            opt.tracer->record(name,
-                               batched      ? "batch"
-                               : unit.chain ? "chain"
-                                            : "cell",
-                               worker, spanStart, opt.tracer->now());
+            opt.tracer->record(
+                unit.chain() ? first.forkGroupKey() : first.key(),
+                unit.chain() ? "chain" : "cell", worker, spanStart,
+                opt.tracer->now());
         }
 
         std::lock_guard<std::mutex> lk(flushMutex);
@@ -395,22 +223,11 @@ runSweep(const SweepSpec &spec, ResultStore &store,
             for (const StatRegistry &reg : regs)
                 opt.stats->merge(reg);
         }
-        if (unit.chain) {
+        if (unit.chain()) {
             ++fork_groups;
             fork_snapshots += chainObs.snapshots;
             fork_cells_forked += unit.members.size() - 1;
             fork_warmup_saved += chainObs.warmupBranchesSaved;
-        }
-        if (!unit.batchGroups.empty()) {
-            ++batch_units;
-            batch_groups += batchObs.groups;
-            batch_members += batchObs.members;
-            batch_snapshots += batchObs.snapshots;
-            batch_warmup_saved += batchObs.warmupBranchesSaved;
-            batch_stream_saved +=
-                batchObs.memberDemand - batchObs.sourceProduced;
-            batch_window_peak = std::max<std::uint64_t>(
-                batch_window_peak, batchObs.sourceWindowPeak);
         }
         for (std::size_t j = 0; j < unit.members.size(); ++j) {
             results[unit.members[j]] = std::move(unitResults[j]);

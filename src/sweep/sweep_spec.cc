@@ -5,7 +5,9 @@
 #include <set>
 #include <sstream>
 
+#include "common/future_bits.hh"
 #include "common/logging.hh"
+#include "common/parse_count.hh"
 
 namespace pcbp
 {
@@ -38,14 +40,15 @@ splitList(const std::string &s)
 }
 
 std::uint64_t
-parseUint(const std::string &s, int lineno, const char *key)
+parseUint(const std::string &s, int lineno, const char *key,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
+    const std::optional<std::uint64_t> v = parseCount(s, max);
+    if (!v)
         pcbp_fatal("sweep: line ", lineno, ": bad value '", s,
-                   "' for '", key, "' (expected a non-negative "
-                   "integer)");
-    return std::stoull(s);
+                   "' for '", key, "' (expected an integer in [0, ",
+                   max, "])");
+    return *v;
 }
 
 bool
@@ -200,7 +203,8 @@ SweepSpec::parse(const std::string &text)
             spec.axes.futureBits.clear();
             for (const auto &s : items)
                 spec.axes.futureBits.push_back(static_cast<unsigned>(
-                    parseUint(s, lineno, "future_bits")));
+                    parseUint(s, lineno, "future_bits",
+                              FutureBits::capacity)));
         } else if (key == "spec_history") {
             spec.axes.speculativeHistory.clear();
             for (const auto &s : items)
@@ -215,7 +219,8 @@ SweepSpec::parse(const std::string &text)
             spec.axes.filterTagBits.clear();
             for (const auto &s : items)
                 spec.axes.filterTagBits.push_back(static_cast<unsigned>(
-                    parseUint(s, lineno, "filter_tag_bits")));
+                    parseUint(s, lineno, "filter_tag_bits",
+                              std::numeric_limits<unsigned>::max())));
         } else if (key == "oracle") {
             spec.axes.oracleFutureBits.clear();
             for (const auto &s : items)

@@ -10,6 +10,7 @@
 
 #include "common/bit_utils.hh"
 #include "common/history_register.hh"
+#include "common/parse_count.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
@@ -410,6 +411,35 @@ TEST(Format, FmtDoubleAndPercent)
 {
     EXPECT_EQ(fmtDouble(1.23456, 2), "1.23");
     EXPECT_EQ(fmtPercent(0.1234, 1), "12.3%");
+}
+
+TEST(ParseCount, AcceptsDecimalCountsUpToMax)
+{
+    EXPECT_EQ(parseCount("0"), 0u);
+    EXPECT_EQ(parseCount("42"), 42u);
+    EXPECT_EQ(parseCount("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseCount("64", 64), 64u);
+}
+
+TEST(ParseCount, RejectsMalformedOverflowingAndOutOfRange)
+{
+    for (const char *bad :
+         {"", "abc", "4x", " 4", "4 ", "+4", "-5", "0x10", "1.5",
+          "18446744073709551616", "99999999999999999999999"})
+        EXPECT_EQ(parseCount(bad), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parseCount("65", 64), std::nullopt);
+    EXPECT_EQ(parseCount("4294967296", UINT32_MAX), std::nullopt);
+}
+
+TEST(ParseCountDeath, BadFlagValueIsFatal)
+{
+    EXPECT_EQ(parseCountFlag("--jobs", "4"), 4u);
+    EXPECT_EXIT(parseCountFlag("--jobs", "abc"),
+                testing::ExitedWithCode(1),
+                "bad value 'abc' for --jobs");
+    EXPECT_EXIT(parseCountFlag("--future-bits", "65", 64),
+                testing::ExitedWithCode(1),
+                "bad value '65' for --future-bits");
 }
 
 } // namespace

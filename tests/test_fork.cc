@@ -18,8 +18,9 @@
  *   configurations (weak prophet, frequent flushes around the fork
  *   point);
  * - the chain drivers (runAccuracyChain / runTimingChain) must equal
- *   per-cell driver runs, and the sweep runner's stores must be
- *   byte-identical with forking on or off, at any job count.
+ *   one directly constructed simulator run per cell (a chain of one
+ *   included), and the sweep runner's stores must be byte-identical
+ *   with forking on or off, at any job count.
  */
 
 #include <gtest/gtest.h>
@@ -383,7 +384,25 @@ TEST(Fork, SurvivesRecoveryHeavyWorkload)
 
 // -------------------------------------------------- chain drivers
 
-/** runAccuracyChain == one runAccuracy per config, stats equal. */
+/**
+ * The chain drivers' reference: one directly constructed simulator
+ * run over @p w's own stream. runAccuracy/runTiming are themselves
+ * chains of one, so they cannot serve as an independent reference.
+ */
+template <typename Sim, typename Config>
+auto
+directRun(const Workload &w, const HybridSpec &spec, const Config &cfg)
+{
+    Program p = buildProgram(w);
+    auto h = spec.build();
+    Sim sim(p, *h, cfg);
+    if (w.tracePath.empty())
+        return sim.run();
+    auto stream = openTraceStream(w.tracePath);
+    return sim.run(*stream);
+}
+
+/** runAccuracyChain == one direct Engine run per config. */
 TEST(Fork, AccuracyChainMatchesIndividualRuns)
 {
     const Workload &w = workloadByName("int.crafty");
@@ -408,11 +427,12 @@ TEST(Fork, AccuracyChainMatchesIndividualRuns)
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i], runAccuracy(w, spec, configs[i]));
+        expectSameStats(chained[i],
+                        directRun<Engine>(w, spec, configs[i]));
     }
 }
 
-/** runTimingChain == one runTiming per config, stats equal. */
+/** runTimingChain == one direct TimingSim run per config. */
 TEST(Fork, TimingChainMatchesIndividualRuns)
 {
     const Workload &w = workloadByName("mm.mpeg");
@@ -437,7 +457,49 @@ TEST(Fork, TimingChainMatchesIndividualRuns)
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i], runTiming(w, spec, configs[i]));
+        expectSameStats(chained[i],
+                        directRun<TimingSim>(w, spec, configs[i]));
+    }
+}
+
+/**
+ * A chain of one never forks, so none of the fork restrictions
+ * apply: oracle future bits, a commit tap and a zero warmup ride
+ * through it, and the events and stats equal a direct Engine::run().
+ */
+TEST(Fork, SingleMemberChainMatchesDirectRunWithOracleAndSink)
+{
+    const Workload &w = workloadByName("int.crafty");
+    const HybridSpec spec =
+        hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
+                   CriticKind::TaggedGshare, Budget::B8KB, 8);
+
+    for (const std::uint64_t wb : {0ull, 500ull}) {
+        SCOPED_TRACE("warmup " + std::to_string(wb));
+        EngineConfig cfg;
+        cfg.warmupBranches = wb;
+        cfg.measureBranches = 3000;
+        cfg.oracleFutureBits = true;
+
+        RecordingSink direct_sink;
+        EngineConfig direct_cfg = cfg;
+        direct_cfg.commitSink = &direct_sink;
+        const EngineStats direct =
+            directRun<Engine>(w, spec, direct_cfg);
+
+        RecordingSink chain_sink;
+        EngineConfig chain_cfg = cfg;
+        chain_cfg.commitSink = &chain_sink;
+        ChainObs obs;
+        const std::vector<EngineStats> chained =
+            runAccuracyChain(w, spec, {chain_cfg}, &obs);
+
+        ASSERT_EQ(chained.size(), 1u);
+        EXPECT_EQ(obs.snapshots, 0u);
+        EXPECT_EQ(obs.warmupBranchesSaved, 0u);
+        EXPECT_FALSE(direct_sink.events.empty());
+        expectSameEvents(chain_sink.events, direct_sink.events);
+        expectSameStats(chained[0], direct);
     }
 }
 
@@ -532,7 +594,8 @@ TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i], runAccuracy(w2, spec, configs[i]));
+        expectSameStats(chained[i],
+                        directRun<Engine>(w2, spec, configs[i]));
         expectSameStats(chained[i], chained_v1[i]);
     }
 }
@@ -563,7 +626,8 @@ TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i], runTiming(w, spec, configs[i]));
+        expectSameStats(chained[i],
+                        directRun<TimingSim>(w, spec, configs[i]));
     }
 }
 

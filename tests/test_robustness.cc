@@ -10,12 +10,14 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/future_bits.hh"
 #include "common/logging.hh"
 #include "core/tag_filter.hh"
 #include "predictors/factory.hh"
 #include "predictors/fusion.hh"
 #include "predictors/gshare.hh"
 #include "sim/driver.hh"
+#include "sweep/sweep_spec.hh"
 #include "workload/trace.hh"
 
 namespace pcbp
@@ -57,6 +59,37 @@ TEST(RobustnessDeath, HybridRequiresProphet)
     HybridConfig cfg;
     EXPECT_DEATH(ProphetCriticHybrid(nullptr, nullptr, cfg),
                  "a hybrid needs a prophet");
+}
+
+// ------------------------------------------------- .sweep numeric values
+
+/** An out-of-range integer is a located fatal, not an uncaught
+ *  std::out_of_range abort. */
+TEST(RobustnessDeath, SweepSpecOverflowingIntegerIsFatal)
+{
+    EXPECT_EXIT(SweepSpec::parse("branches = 99999999999999999999999\n"),
+                testing::ExitedWithCode(1), "sweep: line 1: bad value");
+    EXPECT_EXIT(SweepSpec::parse("name = x\n"
+                                 "warmup = 100, 18446744073709551616\n"),
+                testing::ExitedWithCode(1), "sweep: line 2: bad value");
+}
+
+/** future_bits beyond FutureBits::capacity is rejected at parse
+ *  time, before the hybrid constructor's panic can fire. */
+TEST(RobustnessDeath, SweepSpecFutureBitsBeyondCapacityIsFatal)
+{
+    EXPECT_EXIT(SweepSpec::parse("name = x\nfuture_bits = 9999\n"),
+                testing::ExitedWithCode(1),
+                "sweep: line 2: bad value '9999' for 'future_bits'");
+    EXPECT_EXIT(SweepSpec::parse("future_bits = 8, " +
+                                 std::to_string(FutureBits::capacity + 1) +
+                                 "\n"),
+                testing::ExitedWithCode(1), "sweep: line 1: bad value");
+    const SweepSpec edge = SweepSpec::parse(
+        "future_bits = " + std::to_string(FutureBits::capacity) + "\n" +
+        "workloads = mm.mpeg\n");
+    EXPECT_EQ(edge.axes.futureBits,
+              std::vector<unsigned>{FutureBits::capacity});
 }
 
 // ------------------------------------------------------ corrupted traces

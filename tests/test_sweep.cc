@@ -646,10 +646,10 @@ TEST(Runner, KilledMidGridThenResumedIsByteIdentical)
 }
 
 SweepSpec
-timingGridForBatch()
+timingLadderGrid()
 {
     SweepSpec spec;
-    spec.name = "timing-batch-grid";
+    spec.name = "timing-ladder-grid";
     spec.timing = true;
     spec.axes.prophets = {ProphetKind::Gshare};
     spec.axes.critics = {std::nullopt, CriticKind::TaggedGshare};
@@ -661,96 +661,60 @@ timingGridForBatch()
     return spec;
 }
 
-TEST(Runner, BatchModeIsByteIdenticalToReplayAndFork)
+TEST(Runner, ForkAndNoForkStoresAreByteIdentical)
 {
-    // A grid exercising every batch-lane shape: a warmup axis (fork
-    // groups that peel inside the lockstep pass), an oracle axis
-    // (forced singleton lanes), and two workloads (two batch units).
-    // The store — and every export — must be byte-identical across
-    // replay (--no-fork), chain (fork), and batch execution.
+    // A grid exercising every unit shape: a warmup axis (fork
+    // chains), an oracle axis (oracle cells always run as chains of
+    // one), and two workloads. The store — and every export — must
+    // be byte-identical with fork planning on and off (--no-fork).
     SweepSpec spec = smallGrid();
     spec.warmups = {400, 1200};
     spec.axes.oracleFutureBits = {false, true};
 
-    const auto runWith = [&](const std::string &stem, bool fork,
-                             bool batch) {
+    const auto runWith = [&](const std::string &stem, bool fork) {
         const std::string path = testing::TempDir() + stem;
         std::remove(path.c_str());
         ResultStore store(path);
         SweepRunOptions opt;
         opt.jobs = 2;
         opt.fork = fork;
-        opt.batch = batch;
         runSweep(spec, store, opt);
         const std::string bytes = slurp(path);
         std::remove(path.c_str());
         return bytes;
     };
 
-    const std::string replay =
-        runWith("pcbp_batch_replay.jsonl", false, false);
-    ASSERT_FALSE(replay.empty());
-    EXPECT_EQ(runWith("pcbp_batch_chain.jsonl", true, false), replay);
-    EXPECT_EQ(runWith("pcbp_batch_on.jsonl", true, true), replay);
+    const std::string no_fork = runWith("pcbp_nofork.jsonl", false);
+    ASSERT_FALSE(no_fork.empty());
+    EXPECT_EQ(runWith("pcbp_fork.jsonl", true), no_fork);
 
-    // Timing mode through the batch path too.
-    spec = timingGridForBatch();
-    const std::string treplay =
-        runWith("pcbp_batch_treplay.jsonl", false, false);
-    ASSERT_FALSE(treplay.empty());
-    EXPECT_EQ(runWith("pcbp_batch_ton.jsonl", true, true), treplay);
+    // Timing mode too.
+    spec = timingLadderGrid();
+    const std::string no_fork_t = runWith("pcbp_nofork_t.jsonl", false);
+    ASSERT_FALSE(no_fork_t.empty());
+    EXPECT_EQ(runWith("pcbp_fork_t.jsonl", true), no_fork_t);
 }
 
-TEST(Runner, BatchModeReportsAmortizationCounters)
+TEST(Runner, StoreMatchesCommittedGolden)
 {
-    SweepSpec spec = smallGrid();
-    spec.warmups = {400, 1200};
-
-    StatRegistry reg;
-    ResultStore store;
-    SweepRunOptions opt;
-    opt.jobs = 1;
-    opt.batch = true;
-    opt.stats = &reg;
-    runSweep(spec, store, opt);
-
-    const std::string json = reg.toJson();
-    // Two workloads -> two batch units; the warmup axis gives every
-    // (spec, workload) a two-member fork group, so snapshots fired
-    // and both amortizations (warmup re-simulation, shared stream
-    // production) must be visible.
-    EXPECT_NE(json.find("\"sweep.batch.units\":2"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("sweep.batch.snapshots"), std::string::npos);
-    EXPECT_NE(json.find("sweep.batch.warmup_branches_saved"),
-              std::string::npos);
-    EXPECT_NE(json.find("sweep.batch.stream_records_saved"),
-              std::string::npos);
-    EXPECT_NE(json.find("sweep.batch.source_window_peak"),
-              std::string::npos);
-}
-
-TEST(Runner, BatchedStoreMatchesCommittedGolden)
-{
-    // The batch path is pinned by a committed artifact, not only by
-    // in-process agreement with the replay path: this golden store
-    // was generated with batching ON, and the batching-OFF run must
-    // reproduce the same bytes. Drift in either path — or any
-    // divergence between them — fails against the same file.
+    // Execution is pinned by a committed artifact, not only by
+    // in-process agreement between plannings: the fork-on run and
+    // the --no-fork run must both reproduce this golden store byte
+    // for byte. Drift in either — or any divergence between them —
+    // fails against the same file.
     SweepSpec spec = smallGrid();
     spec.warmups = {400, 1200};
     spec.axes.oracleFutureBits = {false, true};
 
-    const auto storeBytes = [&](bool batch) {
+    const auto storeBytes = [&](bool fork) {
         const std::string path =
-            testing::TempDir() + "pcbp_batch_golden.jsonl";
+            testing::TempDir() + "pcbp_store_golden.jsonl";
         std::remove(path.c_str());
         {
             ResultStore store(path);
             SweepRunOptions opt;
             opt.jobs = 2;
-            opt.batch = batch;
+            opt.fork = fork;
             runSweep(spec, store, opt);
         }
         const std::string bytes = slurp(path);
@@ -758,11 +722,11 @@ TEST(Runner, BatchedStoreMatchesCommittedGolden)
         return bytes;
     };
 
-    const std::string batched = storeBytes(true);
-    ASSERT_FALSE(batched.empty());
-    EXPECT_EQ(storeBytes(false), batched)
-        << "batched and unbatched stores diverge";
-    expectMatchesGolden(batched, "sweep_batch_store.jsonl");
+    const std::string forked = storeBytes(true);
+    ASSERT_FALSE(forked.empty());
+    EXPECT_EQ(storeBytes(false), forked)
+        << "fork and --no-fork stores diverge";
+    expectMatchesGolden(forked, "sweep_store.jsonl");
 }
 
 TEST(Runner, InMemoryStoreServesPortedBenches)

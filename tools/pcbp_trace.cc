@@ -59,6 +59,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/future_bits.hh"
+#include "common/parse_count.hh"
 #include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
@@ -91,16 +93,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-std::uint64_t
-parseCount(const char *s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0')
-        pcbp_fatal("bad count '", s, "'");
-    return v;
-}
-
 /** "v1" -> false, "v2" -> true; anything else is a usage error. */
 bool
 parseFormatV2(const char *s)
@@ -127,11 +119,12 @@ cmdRecord(int argc, char **argv)
         else if (a == "--out" && i + 1 < argc)
             out = argv[++i];
         else if (a == "--branches" && i + 1 < argc)
-            branchesOpt = parseCount(argv[++i]);
+            branchesOpt = parseCountFlag(a, argv[++i]);
         else if (a == "--format" && i + 1 < argc)
             toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = std::uint32_t(parseCount(argv[++i]));
+            blockRecords = std::uint32_t(
+                parseCountFlag(a, argv[++i], UINT32_MAX));
         else
             usage("pcbp_trace");
     }
@@ -180,7 +173,8 @@ cmdConvert(const std::string &in, const std::string &out, int argc,
         if (a == "--to" && i + 1 < argc)
             toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = std::uint32_t(parseCount(argv[++i]));
+            blockRecords = std::uint32_t(
+                parseCountFlag(a, argv[++i], UINT32_MAX));
         else
             usage("pcbp_trace");
     }
@@ -215,7 +209,8 @@ cmdImportAscii(const std::string &in, const std::string &out, int argc,
         if (a == "--format" && i + 1 < argc)
             toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = std::uint32_t(parseCount(argv[++i]));
+            blockRecords = std::uint32_t(
+                parseCountFlag(a, argv[++i], UINT32_MAX));
         else
             usage("pcbp_trace");
     }
@@ -332,16 +327,17 @@ parseReplayOptions(int argc, char **argv)
         } else if (a == "--critic-budget" && i + 1 < argc)
             o.spec.criticBudget = parseBudget(argv[++i]);
         else if (a == "--future-bits" && i + 1 < argc)
-            o.spec.futureBits = unsigned(parseCount(argv[++i]));
+            o.spec.futureBits = unsigned(
+                parseCountFlag(a, argv[++i], FutureBits::capacity));
         else if (a == "--warmup" && i + 1 < argc)
-            o.warmupOpt = parseCount(argv[++i]);
+            o.warmupOpt = parseCountFlag(a, argv[++i]);
         else if (a == "--measure" && i + 1 < argc)
-            o.measureOpt = parseCount(argv[++i]);
+            o.measureOpt = parseCountFlag(a, argv[++i]);
         else if (a == "--timing")
             o.timing = true;
         else if (a == "--top" && i + 1 < argc) {
             o.sawTop = true;
-            o.top = parseCount(argv[++i]);
+            o.top = parseCountFlag(a, argv[++i]);
         } else if (a == "--stats-out" && i + 1 < argc)
             o.statsOut = argv[++i];
         else
