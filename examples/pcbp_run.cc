@@ -19,12 +19,14 @@
  *     --per-branch N         print the top-N mispredicting branches
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/future_bits.hh"
+#include "common/parse_count.hh"
 #include "common/stats.hh"
 #include "sim/driver.hh"
 
@@ -87,9 +89,10 @@ main(int argc, char **argv)
         else if (arg == "--critic")
             critic = next();
         else if (arg == "--fb")
-            fb = static_cast<unsigned>(std::atoi(next().c_str()));
+            fb = static_cast<unsigned>(
+                parseCountFlag(arg, next(), FutureBits::capacity));
         else if (arg == "--branches")
-            branches = std::strtoull(next().c_str(), nullptr, 10);
+            branches = parseCountFlag(arg, next());
         else if (arg == "--timing")
             timing = true;
         else if (arg == "--oracle")
@@ -97,8 +100,8 @@ main(int argc, char **argv)
         else if (arg == "--no-btb")
             no_btb = true;
         else if (arg == "--per-branch")
-            per_branch =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            per_branch = static_cast<unsigned>(
+                parseCountFlag(arg, next(), UINT32_MAX));
         else
             usage(argv[0]);
     }

@@ -109,33 +109,37 @@ mix64(std::uint64_t x)
  * bits n-1 and n-2). Bijective over the low @p n bits; the three
  * bank indices of gskew combine skewH and skewHInv so that two
  * inputs colliding in one bank are spread apart in the others.
+ *
+ * The feedback XOR is applied through a mask, not a branch: the
+ * feedback bit is a hash bit, so a branch on it would mispredict
+ * about half the time on the gskew hot path. Callers validate @p n
+ * once (GSkew's constructor); here it is a debug assertion.
  */
 constexpr std::uint64_t
 skewH(std::uint64_t v, unsigned n)
 {
-    pcbp_assert(n >= 2 && n <= 63);
+    pcbp_dassert(n >= 2 && n <= 63);
     const std::uint64_t mask = maskBits(n);
+    const std::uint64_t taps =
+        (std::uint64_t(1) << (n - 1)) | (std::uint64_t(1) << (n - 2));
     v &= mask;
     const std::uint64_t fb = v & 1;
-    std::uint64_t r = v >> 1;
-    if (fb)
-        r ^= (std::uint64_t(1) << (n - 1)) | (std::uint64_t(1) << (n - 2));
-    return r & mask;
+    return ((v >> 1) ^ (taps & (0 - fb))) & mask;
 }
 
 /** Inverse of skewH over the low @p n bits. */
 constexpr std::uint64_t
 skewHInv(std::uint64_t v, unsigned n)
 {
-    pcbp_assert(n >= 2 && n <= 63);
+    pcbp_dassert(n >= 2 && n <= 63);
     const std::uint64_t mask = maskBits(n);
+    const std::uint64_t taps =
+        (std::uint64_t(1) << (n - 1)) | (std::uint64_t(1) << (n - 2));
     v &= mask;
     // The shifted-out feedback bit is visible at bit n-1: v >> 1 has a
     // zero there, so after the conditional tap XOR it equals fb.
     const std::uint64_t fb = (v >> (n - 1)) & 1;
-    std::uint64_t r = v;
-    if (fb)
-        r ^= (std::uint64_t(1) << (n - 1)) | (std::uint64_t(1) << (n - 2));
+    const std::uint64_t r = v ^ (taps & (0 - fb));
     return ((r << 1) | fb) & mask;
 }
 

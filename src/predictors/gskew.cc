@@ -7,110 +7,92 @@ namespace pcbp
 {
 
 GSkew::GSkew(std::size_t entries_per_bank, unsigned history_bits)
-    : bim(entries_per_bank, SatCounter(2, 1)),
-      g0(entries_per_bank, SatCounter(2, 1)),
-      g1(entries_per_bank, SatCounter(2, 1)),
-      meta(entries_per_bank, SatCounter(2, 2)),
-      histBits(history_bits),
-      indexBits(log2Floor(entries_per_bank))
+    : bim(entries_per_bank, 2, 1), g0(entries_per_bank, 2, 1),
+      g1(entries_per_bank, 2, 1), meta(entries_per_bank, 2, 2),
+      histBits(history_bits), indexBits(log2Floor(entries_per_bank)),
+      pcFold(64, indexBits), histFold(history_bits, indexBits)
 {
     pcbp_assert(isPowerOfTwo(entries_per_bank),
                 "gskew bank size must be 2^n");
     pcbp_assert(indexBits >= 2, "gskew banks need at least 4 entries");
 }
 
-std::size_t
-GSkew::idxBim(Addr pc) const
+GSkew::Probe
+GSkew::probe(Addr pc, const HistoryRegister &hist) const
 {
-    return foldBits(pc >> 2, indexBits);
-}
-
-std::size_t
-GSkew::idxG0(Addr pc, const HistoryRegister &hist) const
-{
-    const std::uint64_t a = foldBits(pc >> 2, indexBits);
-    const std::uint64_t h = hist.foldedLow(histBits, indexBits);
+    const std::uint64_t a = pcFold(pc >> 2);
+    const std::uint64_t h = histFold(hist);
+    const std::uint64_t mask = maskBits(indexBits);
+    const std::uint64_t skew_h = skewH(h, indexBits);
+    Probe p;
+    p.bim = a;
     // Skewing: two bijections of the two components so that a pair
-    // (a, h) colliding here maps elsewhere in G1.
-    return (skewH(a, indexBits) ^ skewHInv(h, indexBits) ^ h) &
-           maskBits(indexBits);
-}
+    // (a, h) colliding in G0 maps elsewhere in G1.
+    p.g0 = (skewH(a, indexBits) ^ skewHInv(h, indexBits) ^ h) & mask;
+    p.g1 = (skewHInv(a, indexBits) ^ skew_h ^ a) & mask;
+    p.meta = (a ^ skew_h) & mask;
 
-std::size_t
-GSkew::idxG1(Addr pc, const HistoryRegister &hist) const
-{
-    const std::uint64_t a = foldBits(pc >> 2, indexBits);
-    const std::uint64_t h = hist.foldedLow(histBits, indexBits);
-    return (skewHInv(a, indexBits) ^ skewH(h, indexBits) ^ a) &
-           maskBits(indexBits);
-}
-
-std::size_t
-GSkew::idxMeta(Addr pc, const HistoryRegister &hist) const
-{
-    const std::uint64_t a = foldBits(pc >> 2, indexBits);
-    const std::uint64_t h = hist.foldedLow(histBits, indexBits);
-    return (a ^ skewH(h, indexBits)) & maskBits(indexBits);
+    BankView &v = p.view;
+    v.bim = bim.taken(p.bim);
+    v.g0 = g0.taken(p.g0);
+    v.g1 = g1.taken(p.g1);
+    const int votes = int(v.bim) + int(v.g0) + int(v.g1);
+    v.majority = votes >= 2;
+    v.useMajority = meta.taken(p.meta);
+    v.final_ = v.useMajority ? v.majority : v.bim;
+    return p;
 }
 
 GSkew::BankView
 GSkew::banks(Addr pc, const HistoryRegister &hist) const
 {
-    BankView v;
-    v.bim = bim[idxBim(pc)].taken();
-    v.g0 = g0[idxG0(pc, hist)].taken();
-    v.g1 = g1[idxG1(pc, hist)].taken();
-    const int votes = int(v.bim) + int(v.g0) + int(v.g1);
-    v.majority = votes >= 2;
-    v.useMajority = meta[idxMeta(pc, hist)].taken();
-    v.final_ = v.useMajority ? v.majority : v.bim;
-    return v;
+    return probe(pc, hist).view;
 }
 
 bool
 GSkew::predict(Addr pc, const HistoryRegister &hist)
 {
-    return banks(pc, hist).final_;
+    return probe(pc, hist).view.final_;
 }
 
 void
 GSkew::update(Addr pc, const HistoryRegister &hist, bool taken)
 {
-    const BankView v = banks(pc, hist);
+    const Probe p = probe(pc, hist);
+    const BankView &v = p.view;
 
     // META learns which side to trust whenever the two sides differ.
     if (v.bim != v.majority)
-        meta[idxMeta(pc, hist)].update(v.majority == taken);
+        meta.update(p.meta, v.majority == taken);
 
     if (v.final_ == taken) {
         // Partial update: strengthen only the banks that took part in
         // the correct prediction and agreed with the outcome.
         if (v.useMajority) {
             if (v.bim == taken)
-                bim[idxBim(pc)].update(taken);
+                bim.update(p.bim, taken);
             if (v.g0 == taken)
-                g0[idxG0(pc, hist)].update(taken);
+                g0.update(p.g0, taken);
             if (v.g1 == taken)
-                g1[idxG1(pc, hist)].update(taken);
+                g1.update(p.g1, taken);
         } else {
-            bim[idxBim(pc)].update(taken);
+            bim.update(p.bim, taken);
         }
     } else {
         // Mispredict: re-educate all direction banks.
-        bim[idxBim(pc)].update(taken);
-        g0[idxG0(pc, hist)].update(taken);
-        g1[idxG1(pc, hist)].update(taken);
+        bim.update(p.bim, taken);
+        g0.update(p.g0, taken);
+        g1.update(p.g1, taken);
     }
 }
 
 void
 GSkew::reset()
 {
-    for (auto *bank : {&bim, &g0, &g1})
-        for (auto &c : *bank)
-            c.set(1);
-    for (auto &c : meta)
-        c.set(2);
+    bim.fill(1);
+    g0.fill(1);
+    g1.fill(1);
+    meta.fill(2);
 }
 
 std::size_t

@@ -13,13 +13,17 @@
  * prediction only the participating, agreeing banks are
  * strengthened; on a mispredict all direction banks are re-educated;
  * META is updated whenever BIM and the majority vote disagree.
+ *
+ * Each predict()/update() folds the address and the history once,
+ * through fold plans built at construction (common/fold_plan.hh),
+ * and derives all four bank indices from the two folds; the banks
+ * are one-byte SatCounterTables (DESIGN.md §12).
  */
 
 #ifndef PCBP_PREDICTORS_GSKEW_HH
 #define PCBP_PREDICTORS_GSKEW_HH
 
-#include <vector>
-
+#include "common/fold_plan.hh"
 #include "common/sat_counter.hh"
 #include "predictors/predictor.hh"
 
@@ -56,14 +60,19 @@ class GSkew final : public DirectionPredictor
     BankView banks(Addr pc, const HistoryRegister &hist) const;
 
   private:
-    std::size_t idxBim(Addr pc) const;
-    std::size_t idxG0(Addr pc, const HistoryRegister &hist) const;
-    std::size_t idxG1(Addr pc, const HistoryRegister &hist) const;
-    std::size_t idxMeta(Addr pc, const HistoryRegister &hist) const;
+    /** The four bank indices of one branch, and what they read. */
+    struct Probe
+    {
+        std::size_t bim, g0, g1, meta;
+        BankView view;
+    };
+    Probe probe(Addr pc, const HistoryRegister &hist) const;
 
-    std::vector<SatCounter> bim, g0, g1, meta;
+    SatCounterTable bim, g0, g1, meta;
     unsigned histBits;
     unsigned indexBits;
+    FoldPlan pcFold;      //!< address to indexBits
+    HistoryFold histFold; //!< histBits of history to indexBits
 };
 
 } // namespace pcbp

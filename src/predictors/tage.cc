@@ -10,7 +10,7 @@ namespace pcbp
 {
 
 Tage::Tage(const TageConfig &config)
-    : cfg(config), baseIndexBits(log2Floor(config.baseEntries))
+    : cfg(config), baseFold(64, log2Floor(config.baseEntries))
 {
     pcbp_assert(isPowerOfTwo(cfg.baseEntries),
                 "tage base size must be 2^n");
@@ -18,6 +18,19 @@ Tage::Tage(const TageConfig &config)
     pcbp_assert(cfg.counterBits >= 2 && cfg.usefulBits >= 1);
 
     base = SatCounterTable(cfg.baseEntries, 2, 1);
+
+    // One PC fold per distinct width, shared by every table that
+    // indexes or tags at that width.
+    std::vector<unsigned> pc_widths;
+    auto pcFoldSlot = [&](unsigned bits) {
+        const auto it =
+            std::find(pc_widths.begin(), pc_widths.end(), bits);
+        if (it != pc_widths.end())
+            return unsigned(it - pc_widths.begin());
+        pc_widths.push_back(bits);
+        pcPlans.emplace_back(64, bits);
+        return unsigned(pc_widths.size() - 1);
+    };
 
     unsigned prev_hist = 0;
     for (const TageTableConfig &tc : cfg.tables) {
@@ -36,69 +49,63 @@ Tage::Tage(const TageConfig &config)
                                  (1u << (cfg.counterBits - 1)) - 1);
         t.tags.assign(tc.entries, 0);
         t.useful = SatCounterTable(tc.entries, cfg.usefulBits, 0);
+
+        // Index: fold(mix ^ salt) ^ fold(hist) at indexBits; the
+        // salt mixes the history length in to decorrelate banks.
+        // Tag: two different-width folds of the same history
+        // decorrelate it from the index (Seznec's CSR1/CSR2 pair).
+        const unsigned n = tc.historyLength;
+        t.histIndex = HistoryFold(n, t.indexBits);
+        t.histTag = HistoryFold(n, tc.tagBits);
+        t.histTagShort = HistoryFold(n, tc.tagBits - 1);
+        t.saltFold = foldBits(n * 0x9e3779b9ull, t.indexBits);
+        t.pcIndexFold = pcFoldSlot(t.indexBits);
+        t.pcTagFold = pcFoldSlot(tc.tagBits);
         tables.push_back(std::move(t));
     }
     maxHistory = cfg.tables.back().historyLength;
+    pcFolds.assign(pcPlans.size(), 0);
+    probes.assign(tables.size(), Probe{});
     providerCommits.assign(tables.size(), 0);
-}
-
-std::size_t
-Tage::baseIndex(Addr pc) const
-{
-    return foldBits(pc >> 2, baseIndexBits) & maskBits(baseIndexBits);
-}
-
-std::size_t
-Tage::tableIndex(const Table &t, Addr pc,
-                 const HistoryRegister &hist) const
-{
-    // Decorrelate banks by mixing the table's history length into the
-    // address hash; the folded history does the rest.
-    const std::uint64_t addr =
-        foldBits(mix64(pc >> 2) ^ (t.cfg.historyLength * 0x9e3779b9ull),
-                 t.indexBits);
-    const std::uint64_t h =
-        hist.foldedLow(t.cfg.historyLength, t.indexBits);
-    return (addr ^ h) & maskBits(t.indexBits);
-}
-
-std::uint32_t
-Tage::tableTag(const Table &t, Addr pc, const HistoryRegister &hist) const
-{
-    // Two different-width folds of the same history decorrelate the
-    // tag from the index (Seznec's CSR1/CSR2 pair).
-    const unsigned bits = t.cfg.tagBits;
-    std::uint64_t tag = foldBits(mix64(pc >> 2), bits);
-    tag ^= hist.foldedLow(t.cfg.historyLength, bits);
-    tag ^= hist.foldedLow(t.cfg.historyLength, bits - 1) << 1;
-    return static_cast<std::uint32_t>(tag & maskBits(bits));
+    untilAging = cfg.usefulResetPeriod;
 }
 
 Tage::Match
-Tage::lookup(Addr pc, const HistoryRegister &hist) const
+Tage::lookup(Addr pc, const HistoryRegister &hist)
 {
+    const std::uint64_t mixed = mix64(pc >> 2);
+    for (std::size_t j = 0; j < pcPlans.size(); ++j)
+        pcFolds[j] = pcPlans[j](mixed);
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const Table &t = tables[i];
+        probes[i].index = static_cast<std::uint32_t>(
+            pcFolds[t.pcIndexFold] ^ t.saltFold ^ t.histIndex(hist));
+        probes[i].tag = static_cast<std::uint16_t>(
+            pcFolds[t.pcTagFold] ^ t.histTag(hist) ^
+            (t.histTagShort(hist) << 1));
+    }
+
     Match m;
-    m.alternatePred = base.taken(baseIndex(pc));
+    m.baseIndex = baseFold(pc >> 2);
+    m.alternatePred = base.taken(m.baseIndex);
     m.providerPred = m.alternatePred;
     for (int i = int(tables.size()) - 1; i >= 0; --i) {
         const Table &t = tables[i];
-        const std::size_t idx = tableIndex(t, pc, hist);
-        if (t.tags[idx] !=
-            static_cast<std::uint16_t>(tableTag(t, pc, hist))) {
+        const Probe &p = probes[i];
+        if (t.tags[p.index] != p.tag)
             continue;
-        }
         if (m.provider < 0) {
             m.provider = i;
-            m.providerPred = t.ctrs.taken(idx);
+            m.providerPred = t.ctrs.taken(p.index);
             // "Newly allocated" signature: weak counter, no proven
             // usefulness yet.
             const unsigned mid = t.ctrs.maxValue() / 2;
-            m.providerWeak = t.useful.value(idx) == 0 &&
-                             (t.ctrs.value(idx) == mid ||
-                              t.ctrs.value(idx) == mid + 1);
+            const unsigned v = t.ctrs.value(p.index);
+            m.providerWeak = t.useful.value(p.index) == 0 &&
+                             (v == mid || v == mid + 1);
         } else {
             m.alternate = i;
-            m.alternatePred = t.ctrs.taken(idx);
+            m.alternatePred = t.ctrs.taken(p.index);
             break;
         }
     }
@@ -129,7 +136,7 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
 
     if (m.provider >= 0) {
         Table &t = tables[m.provider];
-        const std::size_t idx = tableIndex(t, pc, hist);
+        const std::size_t idx = probes[m.provider].index;
 
         // Track whether the alternate would have done better on weak
         // providers (drives the use-alt-on-weak policy).
@@ -146,9 +153,9 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
         // The base keeps learning when it was (or backs) the
         // alternate, so freshly allocated entries fall back well.
         if (m.alternate < 0)
-            base.update(baseIndex(pc), taken);
+            base.update(m.baseIndex, taken);
     } else {
-        base.update(baseIndex(pc), taken);
+        base.update(m.baseIndex, taken);
     }
 
     // Allocate into a longer-history table when the final prediction
@@ -160,13 +167,12 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
         for (std::size_t i = std::size_t(m.provider + 1);
              i < tables.size(); ++i) {
             Table &t = tables[i];
-            const std::size_t idx = tableIndex(t, pc, hist);
-            if (t.useful.value(idx) != 0)
+            const Probe &p = probes[i];
+            if (t.useful.value(p.index) != 0)
                 continue;
-            t.tags[idx] =
-                static_cast<std::uint16_t>(tableTag(t, pc, hist));
-            t.ctrs.setWeak(idx, taken);
-            t.useful.set(idx, 0);
+            t.tags[p.index] = p.tag;
+            t.ctrs.setWeak(p.index, taken);
+            t.useful.set(p.index, 0);
             allocated = true;
             break;
         }
@@ -176,8 +182,7 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
             ++allocFailures;
             for (std::size_t i = std::size_t(m.provider + 1);
                  i < tables.size(); ++i) {
-                Table &t = tables[i];
-                t.useful.decrement(tableIndex(t, pc, hist));
+                tables[i].useful.decrement(probes[i].index);
             }
         }
     }
@@ -189,10 +194,11 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
 void
 Tage::agePeriodically()
 {
-    if (cfg.usefulResetPeriod == 0 ||
-        updates % cfg.usefulResetPeriod != 0) {
+    // Counting down spares a division per update; untilAging stays 0
+    // (never fires) when aging is off.
+    if (untilAging == 0 || --untilAging != 0)
         return;
-    }
+    untilAging = cfg.usefulResetPeriod;
     ++agings;
     for (Table &t : tables)
         for (std::size_t i = 0; i < t.useful.size(); ++i)
@@ -210,6 +216,7 @@ Tage::reset()
     }
     useAltOnWeak.set(8);
     updates = 0;
+    untilAging = cfg.usefulResetPeriod;
     providerCommits.assign(tables.size(), 0);
     baseCommits = 0;
     altOnWeakUses = 0;

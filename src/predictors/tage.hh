@@ -13,6 +13,11 @@
  * and the usefulness counters age away periodically so the tables
  * keep adapting across program phases.
  *
+ * Each predict()/update() hashes the branch once: the fold plans
+ * (common/fold_plan.hh, DESIGN.md §12) are built at construction,
+ * lookup() computes every table's index and tag, and update()
+ * reuses them for the provider, allocation and decay writes.
+ *
  * This is the repro's "modern baseline" prophet ("Branch Prediction
  * Is Not a Solved Problem" measures H2P misses against exactly this
  * class of predictor); it plugs into the factory/budget machinery
@@ -25,6 +30,7 @@
 
 #include <vector>
 
+#include "common/fold_plan.hh"
 #include "common/sat_counter.hh"
 #include "predictors/predictor.hh"
 
@@ -92,6 +98,11 @@ class Tage final : public DirectionPredictor
      * §12): the lookup walk touches tags only until a match, so a
      * row probe costs a 2-byte load instead of dragging the whole
      * {ctr, tag, useful} struct through the cache.
+     *
+     * The hashing is planned at construction (common/fold_plan.hh):
+     * the history folds to indexBits, tagBits and tagBits - 1, the
+     * table's salt pre-folded to indexBits, and which of the shared
+     * PC folds (one per distinct width) feeds the index and the tag.
      */
     struct Table
     {
@@ -100,6 +111,18 @@ class Tage final : public DirectionPredictor
         SatCounterTable ctrs;            //!< prediction counters
         std::vector<std::uint16_t> tags; //!< tagBits <= 16
         SatCounterTable useful;          //!< replacement victim filter
+
+        HistoryFold histIndex, histTag, histTagShort;
+        std::uint64_t saltFold = 0; //!< folded historyLength salt
+        unsigned pcIndexFold = 0;   //!< slot in pcFolds for indexBits
+        unsigned pcTagFold = 0;     //!< slot in pcFolds for tagBits
+    };
+
+    /** One table's hashes for the branch being looked up. */
+    struct Probe
+    {
+        std::uint32_t index = 0;
+        std::uint16_t tag = 0;
     };
 
     /** Provider/alternate lookup shared by predict() and update(). */
@@ -112,21 +135,27 @@ class Tage final : public DirectionPredictor
         bool prediction = false; //!< final (after use-alt-on-weak)
         /** Provider entry looked weakly/newly allocated. */
         bool providerWeak = false;
+        std::size_t baseIndex = 0;
     };
 
-    std::size_t baseIndex(Addr pc) const;
-    std::size_t tableIndex(const Table &t, Addr pc,
-                           const HistoryRegister &hist) const;
-    std::uint32_t tableTag(const Table &t, Addr pc,
-                           const HistoryRegister &hist) const;
-    Match lookup(Addr pc, const HistoryRegister &hist) const;
+    /**
+     * Hash every table once into probes, then walk them longest
+     * history first. update() reuses the probes for the provider,
+     * allocation and decay writes.
+     */
+    Match lookup(Addr pc, const HistoryRegister &hist);
     void agePeriodically();
 
     SatCounterTable base;
     std::vector<Table> tables;
     TageConfig cfg;
-    unsigned baseIndexBits;
+    FoldPlan baseFold;
     unsigned maxHistory = 0;
+
+    /** Distinct PC fold widths, and the lookup's scratch results. */
+    std::vector<FoldPlan> pcPlans;
+    std::vector<std::uint64_t> pcFolds;
+    std::vector<Probe> probes; //!< per table, filled by lookup()
 
     /**
      * USE_ALT_ON_NA (Seznec): when newly-allocated provider entries
@@ -136,6 +165,8 @@ class Tage final : public DirectionPredictor
     SatCounter useAltOnWeak{4, 8};
 
     std::uint64_t updates = 0;
+    /** Updates left until the next aging; 0 when aging is off. */
+    std::uint64_t untilAging = 0;
 
     /**
      * Update-path bookkeeping (once per commit — cold next to the

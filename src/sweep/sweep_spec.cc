@@ -217,10 +217,16 @@ SweepSpec::parse(const std::string &text)
                     parseOnOff(s, "repair_history"));
         } else if (key == "filter_tag_bits") {
             spec.axes.filterTagBits.clear();
-            for (const auto &s : items)
-                spec.axes.filterTagBits.push_back(static_cast<unsigned>(
-                    parseUint(s, lineno, "filter_tag_bits",
-                              std::numeric_limits<unsigned>::max())));
+            for (const auto &s : items) {
+                // 0 keeps the Table-3 width; TagFilter takes 4..16.
+                const std::uint64_t v =
+                    parseUint(s, lineno, "filter_tag_bits", 16);
+                if (v != 0 && v < 4)
+                    pcbp_fatal("sweep: line ", lineno, ": bad value '",
+                               s, "' for 'filter_tag_bits' (expected 0 "
+                               "or an integer in [4, 16])");
+                spec.axes.filterTagBits.push_back(unsigned(v));
+            }
         } else if (key == "oracle") {
             spec.axes.oracleFutureBits.clear();
             for (const auto &s : items)

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/bit_utils.hh"
+#include "common/fold_plan.hh"
 #include "common/history_register.hh"
 #include "common/parse_count.hh"
 #include "common/rng.hh"
@@ -274,6 +275,55 @@ TEST(HistoryRegister, FoldedLowMatchesManualFold)
     EXPECT_EQ(h.foldedLow(30, 12), foldBits(h.low(30), 12));
 }
 
+// ----------------------------------------------------------- fold plans
+
+TEST(FoldPlan, MatchesFoldBitsOnRandomWords)
+{
+    Rng rng(21);
+    for (unsigned bits = 0; bits <= 65; ++bits) {
+        const FoldPlan plan(64, bits);
+        for (int i = 0; i < 200; ++i) {
+            // Sparse values too: foldBits stops at the first zero tail.
+            std::uint64_t v = rng.next();
+            if (i % 4 == 1)
+                v >>= rng.nextBelow(64);
+            ASSERT_EQ(plan(v), foldBits(v, bits))
+                << "bits " << bits << " v " << v;
+        }
+    }
+}
+
+TEST(FoldPlan, MatchesFoldBitsOnNarrowInputs)
+{
+    Rng rng(22);
+    for (unsigned width = 0; width <= 64; ++width) {
+        for (unsigned bits = 1; bits <= 20; ++bits) {
+            const FoldPlan plan(width, bits);
+            for (int i = 0; i < 20; ++i) {
+                const std::uint64_t v = rng.next() & maskBits(width);
+                ASSERT_EQ(plan(v), foldBits(v, bits))
+                    << "width " << width << " bits " << bits;
+            }
+        }
+    }
+}
+
+TEST(FoldPlan, HistoryFoldMatchesFoldedLow)
+{
+    Rng rng(23);
+    for (int trial = 0; trial < 24; ++trial) {
+        HistoryRegister h;
+        for (unsigned i = 0; i < HistoryRegister::capacity; ++i)
+            h.shiftIn(rng.nextBool(trial % 3 == 0 ? 0.1 : 0.5));
+        for (unsigned n = 1; n <= HistoryRegister::capacity; ++n) {
+            for (unsigned bits = 3; bits <= 16; ++bits) {
+                ASSERT_EQ(HistoryFold(n, bits)(h), h.foldedLow(n, bits))
+                    << "n " << n << " bits " << bits;
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------ Rng
 
 TEST(Rng, Deterministic)
@@ -440,6 +490,35 @@ TEST(ParseCountDeath, BadFlagValueIsFatal)
     EXPECT_EXIT(parseCountFlag("--future-bits", "65", 64),
                 testing::ExitedWithCode(1),
                 "bad value '65' for --future-bits");
+}
+
+TEST(ParseNonNegative, AcceptsFiniteNonNegativeReals)
+{
+    EXPECT_EQ(parseNonNegative("0"), 0.0);
+    EXPECT_EQ(parseNonNegative("0.10"), 0.10);
+    EXPECT_EQ(parseNonNegative("2"), 2.0);
+    EXPECT_EQ(parseNonNegative("1e-3"), 1e-3);
+    EXPECT_EQ(parseNonNegative(".5"), 0.5);
+}
+
+TEST(ParseNonNegative, RejectsMalformedNegativeAndNonFinite)
+{
+    for (const char *bad :
+         {"", "abc", "0.1x", " 0.1", "0.1 ", "+0.1", "-0.1", "-0",
+          "inf", "nan", "infinity", "1e400", "0x10", "1,5"})
+        EXPECT_EQ(parseNonNegative(bad), std::nullopt)
+            << "'" << bad << "'";
+}
+
+TEST(ParseCountDeath, BadRealFlagValueIsFatal)
+{
+    EXPECT_EQ(parseNonNegativeFlag("--threshold", "0.25"), 0.25);
+    EXPECT_EXIT(parseNonNegativeFlag("--threshold", "abc"),
+                testing::ExitedWithCode(1),
+                "bad value 'abc' for --threshold");
+    EXPECT_EXIT(parseNonNegativeFlag("--threshold", "-0.5"),
+                testing::ExitedWithCode(1),
+                "bad value '-0.5' for --threshold");
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 
 namespace pcbp
@@ -105,6 +106,41 @@ TEST(Golden, TageAsProphetInHybridOnServTpcc)
     EXPECT_EQ(st.committedUops, 274397u);
     EXPECT_EQ(st.criticOverrides, 1003u);
     EXPECT_EQ(st.critiques.get(CritiqueClass::CorrectAgree), 2107u);
+}
+
+/**
+ * Render every sim scalar of a prophet-alone run: the engine's
+ * counters plus the predictor's own (TAGE provider mix, allocation
+ * churn, ...), so a change to index/tag hashing that moved even one
+ * table entry shows up here.
+ */
+std::string
+renderProphetStats(const Workload &w, ProphetKind kind, Budget budget)
+{
+    EngineConfig cfg;
+    cfg.measureBranches = 20000;
+    cfg.warmupBranches = 2000;
+    StatRegistry reg;
+    cfg.statsOut = &reg;
+    const HybridSpec spec = prophetAlone(kind, budget);
+    runAccuracy(w, spec, cfg);
+    std::ostringstream os;
+    os << "# " << spec.label() << " on " << w.name << "\n";
+    for (const auto &[path, value] : reg.simScalars())
+        os << path << " " << value << "\n";
+    return os.str();
+}
+
+// The 16KB rows cover geometry the 8KB goldens do not: TAGE's five
+// tables, a 112-bit longest history (two-word folds) and
+// tagBits == indexBits; 2Bc-gskew's 16K-entry banks.
+TEST(Golden, Prophets16KBOnIntParser)
+{
+    const Workload &w = workloadByName("int.parser");
+    expectMatchesGolden(
+        renderProphetStats(w, ProphetKind::Tage, Budget::B16KB) +
+            renderProphetStats(w, ProphetKind::GSkew, Budget::B16KB),
+        "prophets_16kb_int_parser.txt");
 }
 
 TEST(Golden, H2PReportOnIntCraftyUnderTage)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "obs/stat_registry.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/factory.hh"
 #include "predictors/gshare.hh"
@@ -509,6 +510,119 @@ TEST(Tage, RegisteredInFactoryAndRegistry)
     EXPECT_TRUE(found);
     auto p = makeProphet("tage:16KB");
     EXPECT_EQ(p->name().rfind("tage", 0), 0u);
+}
+
+// ------------------------------------------------- pinned hashing digests
+
+/**
+ * Drive @p pred over a deterministic stream of branches (a mix of
+ * history-correlated, biased and random outcomes over 97 PCs) and
+ * fold every prediction into a digest. The expected values below
+ * were recorded from the reference implementation (per-call
+ * foldBits/foldedLow hashing), so any change to index or tag hashing
+ * that moves a single prediction changes the digest.
+ */
+std::uint64_t
+predictionDigest(DirectionPredictor &pred, int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    HistoryRegister h;
+    std::uint64_t digest = 1469598103934665603ull;
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t slot = rng.nextBelow(97);
+        const Addr pc = 0x400000 + 4 * slot * 2654435761ull % (1u << 24);
+        const bool p = pred.predict(pc, h);
+        digest = (digest ^ std::uint64_t(p)) * 1099511628211ull;
+        bool outcome;
+        switch (slot % 4) {
+          case 0: outcome = h.bit(unsigned(slot % 40)) ^ h.bit(3); break;
+          case 1: outcome = rng.nextBool(0.9); break;
+          case 2: outcome = (i / int(slot % 7 + 2)) % 2 == 0; break;
+          default: outcome = rng.nextBool(0.5); break;
+        }
+        pred.update(pc, h, outcome);
+        h.shiftIn(outcome);
+    }
+    return digest;
+}
+
+/** One tagged table per {entries, tagBits, historyLength} triple. */
+TageConfig
+tageConfigOf(std::initializer_list<TageTableConfig> tables,
+             std::uint64_t reset_period)
+{
+    TageConfig cfg;
+    cfg.baseEntries = 512;
+    cfg.tables = tables;
+    cfg.usefulResetPeriod = reset_period;
+    return cfg;
+}
+
+TEST(Tage, PinnedDigestAcrossGeometries)
+{
+    // Geometries at the edges of what TageConfig allows: 1- and
+    // 2-entry tables (0/1 index bits), minimum and maximum tag
+    // widths, tagBits equal to / above / below indexBits, histories
+    // on both sides of the 64-bit word boundary up to capacity, and
+    // aging periods that fire often or never.
+    const std::vector<std::pair<TageConfig, std::uint64_t>> cases = {
+        {tageConfigOf({{64, 4, 3}, {128, 7, 17}, {256, 16, 63},
+                       {256, 8, 64}, {512, 9, 65}},
+                      97),
+         0x5708947bd4c80756ull},
+        {tageConfigOf({{1024, 10, 5}, {1024, 10, 11}, {1024, 10, 24},
+                       {1024, 10, 52}, {1024, 10, 112}},
+                      1u << 18),
+         0xe28b0ebe92f1c958ull},
+        {tageConfigOf({{1, 4, 1}, {2, 5, 2}, {4, 6, 100},
+                       {8, 13, 127}, {16, 16, 128}},
+                      5),
+         0x5150ccdada2c5dd7ull},
+        {tageConfigOf({{4096, 12, 31}, {2048, 11, 80},
+                       {16384, 14, 128}},
+                      0),
+         0xc361e887fbe57e50ull},
+        {tageConfigOf({{2, 4, 2}, {4, 8, 9}, {8, 12, 70}}, 0),
+         0x3bbe46ad39bd4c51ull},
+    };
+    std::uint64_t agings = 0, alloc_failures = 0;
+    for (const auto &[cfg, expected] : cases) {
+        Tage t(cfg);
+        EXPECT_EQ(predictionDigest(t, 60000, 7), expected)
+            << t.name();
+        StatRegistry reg;
+        t.exportStats(reg, "p");
+        agings += reg.simValue("p.agings");
+        alloc_failures += reg.simValue("p.alloc_failures");
+    }
+    // The stream must reach the aging and allocation-failure paths.
+    EXPECT_GT(agings, 0u);
+    EXPECT_GT(alloc_failures, 0u);
+}
+
+TEST(GSkew, PinnedDigestAcrossGeometries)
+{
+    // Bank sizes from the 4-entry minimum to 64K entries, history
+    // shorter than, equal to and longer than the index width, on
+    // both sides of the 64-bit history word boundary.
+    const std::vector<std::pair<std::pair<std::size_t, unsigned>,
+                                std::uint64_t>>
+        cases = {
+            {{4, 2}, 0xb1e672e15a276d5aull},
+            {{4, 9}, 0xcea63c035d6afd03ull},
+            {{64, 6}, 0x0815b766f5e665bfull},
+            {{1024, 3}, 0x6af2e29bcf8fc820ull},
+            {{8192, 13}, 0xfceb1f8f1b0dbb94ull},
+            {{16384, 14}, 0x7b9b96c3ce030c31ull},
+            {{2048, 64}, 0xba9d528a93795f2dull},
+            {{2048, 65}, 0x9cc99a5264b9032cull},
+            {{65536, 128}, 0x6e2fdde00156e574ull},
+        };
+    for (const auto &[geom, expected] : cases) {
+        GSkew g(geom.first, geom.second);
+        EXPECT_EQ(predictionDigest(g, 60000, 9), expected)
+            << geom.first << " entries, " << geom.second << " bits";
+    }
 }
 
 // ----------------------------------------------------- update determinism

@@ -92,6 +92,25 @@ TEST(RobustnessDeath, SweepSpecFutureBitsBeyondCapacityIsFatal)
               std::vector<unsigned>{FutureBits::capacity});
 }
 
+/** filter_tag_bits outside {0, 4..16} is rejected at parse time,
+ *  before TagFilter's constructor assert can abort the process. */
+TEST(RobustnessDeath, SweepSpecFilterTagBitsOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(SweepSpec::parse("name = x\nfilter_tag_bits = 3\n"),
+                testing::ExitedWithCode(1),
+                "sweep: line 2: bad value '3' for 'filter_tag_bits'");
+    EXPECT_EXIT(SweepSpec::parse("filter_tag_bits = 8, 17\n"),
+                testing::ExitedWithCode(1),
+                "sweep: line 1: bad value '17' for 'filter_tag_bits'");
+    EXPECT_EXIT(SweepSpec::parse("filter_tag_bits = 1\n"),
+                testing::ExitedWithCode(1), "sweep: line 1: bad value");
+    const SweepSpec edge =
+        SweepSpec::parse("filter_tag_bits = 0, 4, 16\n"
+                         "workloads = mm.mpeg\n");
+    EXPECT_EQ(edge.axes.filterTagBits,
+              (std::vector<unsigned>{0, 4, 16}));
+}
+
 // ------------------------------------------------------ corrupted traces
 
 TEST(TraceRobustness, MissingFileIsFatal)

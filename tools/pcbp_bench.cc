@@ -39,6 +39,7 @@
  *       docs/PERFORMANCE.md for methodology.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -47,6 +48,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse_count.hh"
 #include "obs/span_trace.hh"
 #include "obs/stat_registry.hh"
 #include "perf/bench_report.hh"
@@ -119,9 +121,10 @@ parseArgs(int argc, char **argv)
         else if (arg == "--json-out")
             a.jsonOut = next();
         else if (arg == "--threshold")
-            a.threshold = std::atof(next().c_str());
+            a.threshold = parseNonNegativeFlag(arg, next());
         else if (arg == "--repeats")
-            a.repeats = static_cast<unsigned>(std::atoi(next().c_str()));
+            a.repeats = static_cast<unsigned>(
+                parseCountFlag(arg, next(), UINT32_MAX));
         else if (arg == "--quick")
             a.quick = true;
         else if (arg == "--warn-only")
