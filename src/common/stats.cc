@@ -59,6 +59,19 @@ Histogram::reset()
 }
 
 void
+Histogram::subtract(const Histogram &earlier)
+{
+    pcbp_assert(earlier.width == width &&
+                    earlier.bins.size() == bins.size() &&
+                    earlier.total <= total,
+                "subtracting a histogram that is not an earlier copy");
+    for (std::size_t i = 0; i < bins.size(); ++i)
+        bins[i] -= earlier.bins[i];
+    total -= earlier.total;
+    sum -= earlier.sum;
+}
+
+void
 StatSet::set(const std::string &name, double value)
 {
     auto it = index.find(name);

@@ -56,6 +56,14 @@ class Histogram
 
     void reset();
 
+    /**
+     * Remove the samples of @p earlier, a copy of this histogram
+     * taken before some of its samples were recorded, leaving the
+     * samples recorded since (windowed counting). Exact: every sample
+     * is an integer, so the sum stays an exact integer in a double.
+     */
+    void subtract(const Histogram &earlier);
+
   private:
     std::uint64_t width;
     std::vector<std::uint64_t> bins;

@@ -1047,8 +1047,8 @@ warmupRender(const FigureOptions &opts, const ResultStore &store)
     t.addNote("prophet: 8KB perceptron; critic: 8KB tagged gshare "
               "@8fb; each row's cells differ only in warmup, so the "
               "row is one fork group — the runner simulates its "
-              "longest warmup once and forks the rest (DESIGN.md "
-              "§11)");
+              "longest run once and reads every cell as a window of "
+              "it (DESIGN.md §11)");
     t.addNote("metric: misp/Kuops over the same measured window; "
               "drift = reduction across the last warmup step");
     for (const Workload *w : set) {

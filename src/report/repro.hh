@@ -92,7 +92,7 @@ struct ReproOptions
     bool progress = false;
 
     /**
-     * Fork-based sweep execution (DESIGN.md §11): grid cells that
+     * Chained sweep execution (DESIGN.md §11): grid cells that
      * differ only in run lengths share one simulation per
      * configuration. Every artifact is byte-identical with this on
      * or off; off (pcbp_repro --no-fork) forces one full simulation

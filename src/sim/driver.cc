@@ -126,25 +126,74 @@ runH2P(const Workload &w, const HybridSpec &spec, const H2PConfig &h2p)
     return runH2P(w, spec, engineConfigFor(w), h2p);
 }
 
-namespace
-{
-
-/**
- * Shared chain body (DESIGN.md §11): run the canonical (largest
- * budget) point, pausing at each earlier point's snapshot target to
- * fork cloned {program, predictor, stream, simulator} state; each
- * fork then runs only its own remainder. A chain of one is a plain
- * run: beginRun then finishRun, no clone. Sim is Engine or TimingSim
- * (same split-phase surface).
- */
-template <typename Sim, typename Config, typename Stats>
-std::vector<Stats>
-chainImpl(const Workload &w, const HybridSpec &spec,
-          const std::vector<Config> &configs,
-          std::uint64_t (*snapshot_target)(const Config &),
-          ChainObs *obs)
+std::vector<EngineStats>
+runAccuracyChain(const Workload &w, const HybridSpec &spec,
+                 const std::vector<EngineConfig> &configs,
+                 ChainObs *obs)
 {
     pcbp_assert(!configs.empty());
+    if (configs.size() > 1) {
+        for (const EngineConfig &c : configs) {
+            pcbp_assert(c.commitSink == nullptr,
+                        "a commit tap sees one run's commits; sink "
+                        "cells run as chains of one");
+            pcbp_assert(!c.oracleFutureBits,
+                        "oracle cells run as chains of one");
+            pcbp_assert(c.warmupBranches >= 1,
+                        "chaining a cell with no warmup saves nothing");
+        }
+    }
+
+    // The canonical member runs longest; every member, the canonical
+    // included, is a window of that one run.
+    const auto runLength = [](const EngineConfig &c) {
+        return c.warmupBranches + c.measureBranches;
+    };
+    const auto canon = std::max_element(
+        configs.begin(), configs.end(),
+        [&](const EngineConfig &a, const EngineConfig &b) {
+            return runLength(a) < runLength(b);
+        });
+
+    Program program = buildProgram(w);
+    auto hybrid = spec.build();
+    Engine engine(program, *hybrid, *canon);
+    std::vector<EngineStats> results;
+    if (!w.tracePath.empty()) {
+        results = engine.runWindows(*openTraceStream(w.tracePath),
+                                    configs);
+    } else {
+        ProgramWalkStream stream(program, runLength(*canon));
+        results = engine.runWindows(stream, configs);
+    }
+
+    if (obs) {
+        for (auto it = configs.begin(); it != configs.end(); ++it) {
+            if (it == canon)
+                continue;
+            ++obs->snapshots;
+            obs->warmupBranchesSaved += it->warmupBranches;
+        }
+    }
+    return results;
+}
+
+std::vector<TimingStats>
+runTimingChain(const Workload &w, const HybridSpec &spec,
+               const std::vector<TimingConfig> &configs, ChainObs *obs)
+{
+    pcbp_assert(!configs.empty());
+    if (configs.size() > 1) {
+        for (const TimingConfig &c : configs) {
+            pcbp_assert(c.commitSink == nullptr,
+                        "a fork cannot replay a commit tap's prefix; sink "
+                        "cells run as chains of one");
+            pcbp_assert(c.warmupBranches >= 1,
+                        "chaining a cell with no warmup saves nothing");
+            pcbp_assert(timingForkable(c),
+                        "short-measure timing cells run as chains of one");
+        }
+    }
 
     // Snapshot points must be visited oldest-first; the canonical is
     // the lexicographic-max (warmup, measure) point, so it is still
@@ -165,22 +214,32 @@ chainImpl(const Workload &w, const HybridSpec &spec,
 
     Program program = buildProgram(w);
     auto hybrid = spec.build();
-    const Config &canon = configs[order.back()];
-    Sim sim(program, *hybrid, canon);
+    const TimingConfig &canon = configs[order.back()];
+    TimingSim sim(program, *hybrid, canon);
 
-    std::vector<Stats> results(configs.size());
+    std::vector<TimingStats> results(configs.size());
 
+    // Run the canonical, pausing at each earlier point's snapshot
+    // target to fork cloned {program, predictor, stream, simulator}
+    // state; each fork then runs only its own remainder. A chain of
+    // one is a plain run: beginRun then finishRun, no clone.
     const auto drive = [&](CommittedStream &stream,
                            const auto &make_fork) {
         sim.beginRun(stream);
         for (std::size_t k = 0; k + 1 < order.size(); ++k) {
-            const Config &cfg = configs[order[k]];
-            sim.stepUntil(snapshot_target(cfg), stream);
+            const TimingConfig &cfg = configs[order[k]];
+            // Cycle-boundary stops overshoot by up to retireWidth - 1
+            // commits, so aim a full retire burst short of the warmup
+            // edge.
+            sim.stepUntil(cfg.warmupBranches > cfg.retireWidth
+                              ? cfg.warmupBranches - cfg.retireWidth
+                              : 0,
+                          stream);
             Program fork_prog = program.clone();
             auto fork_hybrid = hybrid->clone();
             auto fork_stream = make_fork(
                 fork_prog, cfg.warmupBranches + cfg.measureBranches);
-            Sim fork_sim(sim, fork_prog, *fork_hybrid, cfg);
+            TimingSim fork_sim(sim, fork_prog, *fork_hybrid, cfg);
             results[order[k]] = fork_sim.resumeRun(*fork_stream);
             if (obs) {
                 ++obs->snapshots;
@@ -204,61 +263,6 @@ chainImpl(const Workload &w, const HybridSpec &spec,
         });
     }
     return results;
-}
-
-} // namespace
-
-std::vector<EngineStats>
-runAccuracyChain(const Workload &w, const HybridSpec &spec,
-                 const std::vector<EngineConfig> &configs,
-                 ChainObs *obs)
-{
-    // A chain of one never forks, so it carries no fork restrictions.
-    if (configs.size() > 1) {
-        for (const EngineConfig &c : configs) {
-            pcbp_assert(c.commitSink == nullptr,
-                        "a fork cannot replay a commit tap's prefix; sink "
-                        "cells run as chains of one");
-            pcbp_assert(!c.oracleFutureBits,
-                        "oracle cells run as chains of one");
-            pcbp_assert(c.warmupBranches >= 1,
-                        "chaining a cell with no warmup saves nothing");
-        }
-    }
-    // Commit-side stats of branch N are recorded before the cursor
-    // advances but flush-side stats after, so the latest in-warmup
-    // loop-top is exactly warmup - 1 committed branches.
-    return chainImpl<Engine, EngineConfig, EngineStats>(
-        w, spec, configs,
-        [](const EngineConfig &c) { return c.warmupBranches - 1; },
-        obs);
-}
-
-std::vector<TimingStats>
-runTimingChain(const Workload &w, const HybridSpec &spec,
-               const std::vector<TimingConfig> &configs, ChainObs *obs)
-{
-    if (configs.size() > 1) {
-        for (const TimingConfig &c : configs) {
-            pcbp_assert(c.commitSink == nullptr,
-                        "a fork cannot replay a commit tap's prefix; sink "
-                        "cells run as chains of one");
-            pcbp_assert(c.warmupBranches >= 1,
-                        "chaining a cell with no warmup saves nothing");
-            pcbp_assert(timingForkable(c),
-                        "short-measure timing cells run as chains of one");
-        }
-    }
-    // Cycle-boundary stops overshoot by up to retireWidth - 1
-    // commits, so aim a full retire burst short of the warmup edge.
-    return chainImpl<TimingSim, TimingConfig, TimingStats>(
-        w, spec, configs,
-        [](const TimingConfig &c) {
-            return c.warmupBranches > c.retireWidth
-                       ? c.warmupBranches - c.retireWidth
-                       : 0;
-        },
-        obs);
 }
 
 std::vector<EngineStats>

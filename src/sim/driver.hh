@@ -97,45 +97,63 @@ H2PReport runH2P(const Workload &w, const HybridSpec &spec,
 H2PReport runH2P(const Workload &w, const HybridSpec &spec,
                  const H2PConfig &h2p = {});
 
-/** Per-chain fork observability (the sweep.fork.* host stats). */
+/**
+ * Per-chain observability (the sweep.fork.* host stats). An accuracy
+ * chain serves every member but the canonical (longest) one as a
+ * window of the canonical's run; a timing chain forks a clone of the
+ * canonical for every other member.
+ */
 struct ChainObs
 {
-    /** Mid-run clones taken (one per non-canonical chain point). */
+    /**
+     * Members served off the canonical run: windows (accuracy, one
+     * start snapshot of the counters each, nothing cloned) or mid-run
+     * clones (timing).
+     */
     std::uint64_t snapshots = 0;
 
-    /** Warmup branches the forks did not have to re-simulate. */
+    /**
+     * Warmup branches not simulated again: each window's full warmup
+     * (accuracy), or the commits each clone inherited at its fork
+     * point (timing).
+     */
     std::uint64_t warmupBranchesSaved = 0;
 };
 
 /**
- * Fork chain (DESIGN.md §11): run several (warmup, measure) budgets
- * of the *same* (workload, predictor recipe) as one simulation.
- * Warmup length gates only which events are counted — never the
- * simulated trajectory — so the runs are prefixes of one another:
- * the longest runs once (the canonical), and each shorter budget
- * forks cloned simulator state at a snapshot inside its own warmup,
- * then runs just its remainder. Stats are bit-identical to one
- * independent run per config; wall clock pays each shared warmup
- * prefix once. Results come back in @p configs order.
+ * Accuracy chain (DESIGN.md §11): run several (warmup, measure)
+ * budgets of the *same* (workload, predictor recipe) as one
+ * simulation. Run lengths gate only which events are counted —
+ * never the simulated trajectory — so every budget is a window of
+ * the longest run: the engine runs once, to the largest
+ * warmup + measure (capped by a trace's length), and each member's
+ * stats are the counters at its end minus those at its start
+ * (Engine::runWindows). Nothing is cloned. Stats and per-member
+ * statsOut exports are bit-identical to one independent run per
+ * config. Results come back in @p configs order.
  *
- * A chain of one member takes no fork: it is exactly one
- * beginRun/finishRun over the workload's stream, so runAccuracy()
- * is this with a single config. Only a chain of two or more carries
- * the fork restrictions: @p configs must agree on everything except
- * run lengths and stats plumbing, and none may carry a commit sink
- * (a fork cannot replay the tap's prefix), oracle future bits (the
- * oracle stream cannot be forked) or a zero warmup.
+ * A chain of one is a single window, so runAccuracy() is this with
+ * a single config. A chain of two or more carries the chain
+ * restrictions: @p configs must agree on everything except run
+ * lengths and stats plumbing, and none may carry a commit sink (the
+ * tap would see the longest run's commits), oracle future bits (the
+ * oracle reads the stream up to the run's end) or a zero warmup.
  */
 std::vector<EngineStats> runAccuracyChain(
     const Workload &w, const HybridSpec &spec,
     const std::vector<EngineConfig> &configs, ChainObs *obs = nullptr);
 
 /**
- * runAccuracyChain for the timing model. In a chain of two or more,
- * every config must also satisfy timingForkable() — the measured
- * budget has to cover the window lookahead, or a short run's
- * end-of-run stall could diverge from the canonical before its
- * snapshot (timing.hh).
+ * Fork chain for the timing model (DESIGN.md §11). A timing run is
+ * not a window of a longer one: resolution stops at the run's branch
+ * budget, so a later branch's flush changes what a cell fetches
+ * before its last commit. The longest-warmup member (the canonical)
+ * runs once; each other member forks cloned {program, predictor,
+ * stream, simulator} state at a snapshot inside its own warmup and
+ * runs its own remainder. In a chain of two or more, every config
+ * must also satisfy timingForkable() — the measured budget has to
+ * cover the window lookahead, or a short run's end-of-run stall
+ * could diverge from the canonical before its snapshot (timing.hh).
  */
 std::vector<TimingStats> runTimingChain(
     const Workload &w, const HybridSpec &spec,

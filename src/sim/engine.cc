@@ -35,26 +35,6 @@ Engine::Engine(Program &program_, ProphetCriticHybrid &hybrid_,
                 "pipeline depth must exceed the future-bit count");
 }
 
-Engine::Engine(const Engine &other, Program &program_,
-               ProphetCriticHybrid &hybrid_, const EngineConfig &config)
-    : program(program_), hybrid(hybrid_), cfg(config),
-      core(other.core, program_, hybrid_, config.commitSink),
-      coreObs(other.coreObs), commitIdx(other.commitIdx),
-      uopsSinceFlush(other.uopsSinceFlush)
-{
-    // Differing warmup/measure budgets (and per-fork stats/sink
-    // plumbing) are the point of forking; anything that shapes the
-    // simulated state trajectory must match, or the fork would not
-    // be equivalent to an uninterrupted run.
-    pcbp_assert(cfg.pipelineDepth == other.cfg.pipelineDepth &&
-                    cfg.useBtb == other.cfg.useBtb &&
-                    cfg.btbEntries == other.cfg.btbEntries &&
-                    cfg.btbWays == other.cfg.btbWays &&
-                    !cfg.oracleFutureBits,
-                "fork configuration changes simulated behavior");
-    core.attachObs(cfg.statsOut ? &coreObs : nullptr);
-}
-
 bool
 Engine::critiqueAt(std::size_t idx)
 {
@@ -139,7 +119,7 @@ Engine::resolveOldest(CommittedStream &committed)
             stats.critiques.record(
                 classifyCritique(prophet_correct, provided, agreed));
         }
-        if (cfg.collectPerBranch) {
+        if (collectPerBranch) {
             auto &pb = perBranchMap[r.pc];
             pb.pc = r.pc;
             ++pb.execs;
@@ -151,6 +131,12 @@ Engine::resolveOldest(CommittedStream &committed)
     }
 
     ++commitIdx;
+
+    // A window opens between the commit-side and the flush-side
+    // counts of the branch that reaches its start: a run warmed for
+    // w branches measures the flush that branch w-1 causes.
+    if (commitIdx == nextOpen)
+        openWindows();
 
     if (mispredicted) {
         if (measuring()) {
@@ -183,19 +169,71 @@ Engine::run()
 EngineStats
 Engine::run(CommittedStream &committed)
 {
-    beginRun(committed);
-    return finishRun(committed);
+    return std::move(runWindows(committed, {cfg}).front());
 }
 
-void
-Engine::beginRun(CommittedStream &committed)
+namespace
 {
-    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
-                             committed.length());
+
+/** @p now minus the counters of the earlier snapshot @p then. */
+EngineStats
+statsSince(const EngineStats &now, const EngineStats &then)
+{
+    EngineStats d = now;
+    d.committedBranches -= then.committedBranches;
+    d.committedUops -= then.committedUops;
+    d.finalMispredicts -= then.finalMispredicts;
+    d.prophetMispredicts -= then.prophetMispredicts;
+    d.btbMisses -= then.btbMisses;
+    d.criticOverrides -= then.criticOverrides;
+    d.squashedPredictions -= then.squashedPredictions;
+    d.wrongPathBranches -= then.wrongPathBranches;
+    d.wrongPathUops -= then.wrongPathUops;
+    d.partialCritiques -= then.partialCritiques;
+    for (std::size_t c = 0; c < numCritiqueClasses; ++c)
+        d.critiques.counts[c] -= then.critiques.counts[c];
+    d.flushDistance.subtract(then.flushDistance);
+    return d;
+}
+
+} // namespace
+
+std::vector<EngineStats>
+Engine::runWindows(CommittedStream &committed,
+                   const std::vector<EngineConfig> &members)
+{
+    pcbp_assert(!members.empty());
+    pcbp_assert(members.size() == 1 || !cfg.oracleFutureBits,
+                "oracle future bits read up to the run's end; an "
+                "oracle engine takes a single window");
+
+    windows.assign(members.size(), Window{});
+    totalBranches = 0;
+    openCount = 0;
+    collectPerBranch = false;
+    bool any_stats_out = false;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        const EngineConfig &m = members[i];
+        pcbp_assert(m.pipelineDepth == cfg.pipelineDepth &&
+                        m.useBtb == cfg.useBtb &&
+                        m.btbEntries == cfg.btbEntries &&
+                        m.btbWays == cfg.btbWays &&
+                        m.oracleFutureBits == cfg.oracleFutureBits &&
+                        m.commitSink == cfg.commitSink,
+                    "window configuration changes simulated behavior");
+        Window &w = windows[i];
+        w.cfg = &m;
+        w.start = m.warmupBranches;
+        w.end = std::min(m.warmupBranches + m.measureBranches,
+                         committed.length());
+        totalBranches = std::max(totalBranches, w.end);
+        collectPerBranch |= m.collectPerBranch;
+        any_stats_out |= m.statsOut != nullptr;
+    }
 
     const CommittedBranch *first = committed.at(0);
     coreObs = SpecCoreObs{};
-    core.attachObs(cfg.statsOut ? &coreObs : nullptr);
+    core.attachObs(any_stats_out ? &coreObs : nullptr);
     core.beginRun(cfg.oracleFutureBits ? &committed : nullptr,
                   totalBranches,
                   first ? first->block : program.entry());
@@ -203,80 +241,109 @@ Engine::beginRun(CommittedStream &committed)
     uopsSinceFlush = 0;
     stats = EngineStats{};
     perBranchMap.clear();
-}
 
-bool
-Engine::stepUntil(std::uint64_t commit_target,
-                  CommittedStream &committed)
-{
-    while (commitIdx < totalBranches && commitIdx < commit_target) {
+    std::vector<EngineStats> out(members.size());
+    openWindows();
+    closeWindows(committed, out);
+    while (commitIdx < totalBranches) {
         while (core.queueSize() < cfg.pipelineDepth)
             core.fetchNext();
         critiqueReady();
         resolveOldest(committed);
+        if (commitIdx == nextClose)
+            closeWindows(committed, out);
     }
-    return commitIdx < totalBranches;
-}
-
-EngineStats
-Engine::resumeRun(CommittedStream &committed)
-{
-    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
-                             committed.length());
-    // Landing inside this fork's warmup is what keeps its measured
-    // stats identical to an uninterrupted run: commit-side stats of
-    // branch N are recorded before the commit cursor advances, but
-    // flush-side stats after, so the newest branch a fork may have
-    // missed is warmupBranches - 1.
-    pcbp_assert(commitIdx < cfg.warmupBranches,
-                "fork past the start of its measured window");
-    pcbp_assert(committed.produced() <= totalBranches,
-                "forked stream ahead of this fork's budget");
-    return finishRun(committed);
-}
-
-EngineStats
-Engine::finishRun(CommittedStream &committed)
-{
-    stepUntil(totalBranches, committed);
-
-    if (cfg.collectPerBranch) {
-        stats.perBranch.reserve(perBranchMap.size());
-        for (auto &kv : perBranchMap)
-            stats.perBranch.push_back(kv.second);
-        std::sort(stats.perBranch.begin(), stats.perBranch.end(),
-                  [](const PerBranchStat &a, const PerBranchStat &b) {
-                      if (a.finalWrong != b.finalWrong)
-                          return a.finalWrong > b.finalWrong;
-                      return a.pc < b.pc;
-                  });
-    }
-    if (cfg.statsOut)
-        exportStats(committed);
-    return stats;
+    windows.clear();
+    return out;
 }
 
 void
-Engine::exportStats(CommittedStream &committed)
+Engine::openWindows()
 {
-    StatRegistry &reg = *cfg.statsOut;
+    nextOpen = ~std::uint64_t(0);
+    for (Window &w : windows) {
+        // A window starting past its end never opens: it reads zero.
+        if (w.start > w.end)
+            continue;
+        if (w.start == commitIdx) {
+            ++openCount;
+            w.base = stats;
+            if (w.cfg->collectPerBranch)
+                w.perBranchBase = perBranchMap;
+        } else if (w.start > commitIdx) {
+            nextOpen = std::min(nextOpen, w.start);
+        }
+    }
+}
 
-    reg.add("engine.committed_branches", stats.committedBranches);
-    reg.add("engine.committed_uops", stats.committedUops);
-    reg.add("engine.final_mispredicts", stats.finalMispredicts);
-    reg.add("engine.prophet_mispredicts", stats.prophetMispredicts);
-    reg.add("engine.btb_misses", stats.btbMisses);
-    reg.add("engine.critic_overrides", stats.criticOverrides);
-    reg.add("engine.squashed_predictions", stats.squashedPredictions);
-    reg.add("engine.wrong_path_branches", stats.wrongPathBranches);
-    reg.add("engine.wrong_path_uops", stats.wrongPathUops);
-    reg.add("engine.partial_critiques", stats.partialCritiques);
+void
+Engine::closeWindows(CommittedStream &committed,
+                     std::vector<EngineStats> &out)
+{
+    nextClose = ~std::uint64_t(0);
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        const Window &w = windows[i];
+        if (w.end == commitIdx) {
+            if (w.start <= w.end)
+                --openCount;
+            out[i] = windowStats(w);
+            if (w.cfg->statsOut)
+                exportStats(*w.cfg->statsOut, out[i], committed);
+        } else if (w.end > commitIdx) {
+            nextClose = std::min(nextClose, w.end);
+        }
+    }
+}
+
+EngineStats
+Engine::windowStats(const Window &w) const
+{
+    if (w.start > w.end)
+        return EngineStats{};
+    EngineStats s = statsSince(stats, w.base);
+    if (!w.cfg->collectPerBranch)
+        return s;
+
+    for (const auto &[pc, now] : perBranchMap) {
+        PerBranchStat pb = now;
+        const auto it = w.perBranchBase.find(pc);
+        if (it != w.perBranchBase.end()) {
+            pb.execs -= it->second.execs;
+            pb.prophetWrong -= it->second.prophetWrong;
+            pb.finalWrong -= it->second.finalWrong;
+        }
+        if (pb.execs > 0)
+            s.perBranch.push_back(pb);
+    }
+    std::sort(s.perBranch.begin(), s.perBranch.end(),
+              [](const PerBranchStat &a, const PerBranchStat &b) {
+                  if (a.finalWrong != b.finalWrong)
+                      return a.finalWrong > b.finalWrong;
+                  return a.pc < b.pc;
+              });
+    return s;
+}
+
+void
+Engine::exportStats(StatRegistry &reg, const EngineStats &s,
+                    CommittedStream &committed)
+{
+    reg.add("engine.committed_branches", s.committedBranches);
+    reg.add("engine.committed_uops", s.committedUops);
+    reg.add("engine.final_mispredicts", s.finalMispredicts);
+    reg.add("engine.prophet_mispredicts", s.prophetMispredicts);
+    reg.add("engine.btb_misses", s.btbMisses);
+    reg.add("engine.critic_overrides", s.criticOverrides);
+    reg.add("engine.squashed_predictions", s.squashedPredictions);
+    reg.add("engine.wrong_path_branches", s.wrongPathBranches);
+    reg.add("engine.wrong_path_uops", s.wrongPathUops);
+    reg.add("engine.partial_critiques", s.partialCritiques);
     for (std::size_t c = 0; c < numCritiqueClasses; ++c) {
         reg.add("engine.critique." +
                     critiqueClassName(static_cast<CritiqueClass>(c)),
-                stats.critiques.counts[c]);
+                s.critiques.counts[c]);
     }
-    reg.hist("engine.flush_distance_uops", stats.flushDistance);
+    reg.hist("engine.flush_distance_uops", s.flushDistance);
 
     coreObs.exportTo(reg, "core");
 

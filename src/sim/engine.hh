@@ -78,8 +78,9 @@ struct EngineConfig
     /**
      * Optional stats registry: when set, the run exports its
      * counters — engine.*, core.* (spec-core protocol events),
-     * stream.*, predictor.* — into it at end of run, and the spec
-     * core counts protocol events as it goes (obs/probes.hh; off the
+     * stream.*, predictor.* — into it at end of run (of its own
+     * window, in Engine::runWindows), and the spec core counts
+     * protocol events as it goes (obs/probes.hh; off the
      * hot path either way). Not owned; null = no collection.
      */
     StatRegistry *statsOut = nullptr;
@@ -179,20 +180,6 @@ class Engine
            const EngineConfig &config);
 
     /**
-     * Fork (DESIGN.md §11): duplicate @p other's mid-run state —
-     * spec core (queue, BTB, fetch pointer), commit cursor, flush
-     * distance, protocol counters — onto @p program and @p hybrid,
-     * which must be clone()s of @p other's at the same point.
-     * @p config supplies this fork's own warmup/measure budget, stats
-     * registry, and commit sink; it must agree with @p other's
-     * configuration on everything that shapes simulated behavior
-     * (pipeline depth, BTB geometry; oracle mode cannot fork).
-     * Continue with resumeRun().
-     */
-    Engine(const Engine &other, Program &program,
-           ProphetCriticHybrid &hybrid, const EngineConfig &config);
-
-    /**
      * Run the configured number of branches over the program's own
      * committed walk (streamed, O(pipeline) memory) and return stats.
      */
@@ -203,55 +190,60 @@ class Engine
      * equivalence checks). @p committed must agree with the CFG:
      * successor(block, outcome) is the next committed block. The run
      * length is the configured branch budget capped by the stream.
+     * This is runWindows() with the engine's own configuration as
+     * the only window.
      */
     EngineStats run(CommittedStream &committed);
 
-    /** @name Split-phase execution (fork-based sweeps, DESIGN.md §11)
+    /**
+     * Windowed run (DESIGN.md §11): simulate @p committed once, to
+     * the end of the longest window, and return one EngineStats per
+     * member of @p windows, in order. Run lengths gate only which
+     * events are counted, never the simulated trajectory, so member
+     * [w, w+m) reads exactly what a run(committed) configured with
+     * its own lengths would: the counters at the end of the commit
+     * that brings the commit cursor to min(w+m, stream length),
+     * minus those at the moment the cursor reaches w (after branch
+     * w-1's commit-side counts, before its flush-side ones). Each
+     * member's statsOut receives its export at its own end (engine.*
+     * windowed; core.*, stream.* and predictor.* as they read at
+     * that moment) and its collectPerBranch fills its perBranch.
      *
-     * run(committed) == beginRun(); stepUntil(...); finishRun();.
-     * The split exists so a chain runner can pause a canonical run at
-     * a loop boundary (every state transition complete, commit cursor
-     * exact), fork clones, and resume.
+     * Members supply run lengths and stats plumbing only; everything
+     * that shapes the trajectory (pipeline depth, BTB geometry,
+     * oracle bits, commit sink) must equal this engine's
+     * configuration. Oracle future bits read the stream up to the
+     * run's end, so an oracle engine takes a single window.
      */
-    /// @{
+    std::vector<EngineStats> runWindows(
+        CommittedStream &committed,
+        const std::vector<EngineConfig> &windows);
 
-    /** Arm a run over @p committed (resets cursors and stats). */
-    void beginRun(CommittedStream &committed);
-
-    /**
-     * Advance until @p commit_target branches have committed (or the
-     * run ends). Stops at the top of the commit loop: exactly
-     * @p commit_target commits have happened, nothing of commit
-     * @p commit_target itself has. @return false once the run ended.
-     */
-    bool stepUntil(std::uint64_t commit_target,
-                   CommittedStream &committed);
-
-    /** Run to completion and export/return the stats. */
-    EngineStats finishRun(CommittedStream &committed);
-
-    /**
-     * Entry point for a forked engine: adopt @p committed (a
-     * mid-stream fork positioned exactly where the forked-from run
-     * paused) and run this fork's own budget to completion. Must
-     * still be inside this fork's warmup, so every measured stat is
-     * identical to what an uninterrupted run would have produced.
-     */
-    EngineStats resumeRun(CommittedStream &committed);
-
-    /** Committed branches so far (the fork/snapshot cursor). */
+    /** Committed branches so far. */
     std::uint64_t committedSoFar() const { return commitIdx; }
-    /// @}
 
   private:
     using Inflight = SpecRecord<EnginePayload>;
 
+    /** One member of a windowed run and its start snapshot. */
+    struct Window
+    {
+        const EngineConfig *cfg = nullptr;
+        std::uint64_t start = 0; //!< commit count that opens it
+        std::uint64_t end = 0;   //!< commit count that closes it
+        EngineStats base;        //!< counters at start
+        std::unordered_map<Addr, PerBranchStat> perBranchBase;
+    };
+
     bool critiqueAt(std::size_t idx);
     void critiqueReady();
     void resolveOldest(CommittedStream &committed);
-    void exportStats(CommittedStream &committed);
-
-    bool measuring() const { return commitIdx >= cfg.warmupBranches; }
+    void openWindows();
+    void closeWindows(CommittedStream &committed,
+                      std::vector<EngineStats> &out);
+    EngineStats windowStats(const Window &w) const;
+    void exportStats(StatRegistry &reg, const EngineStats &s,
+                     CommittedStream &committed);
 
     Program &program;
     ProphetCriticHybrid &hybrid;
@@ -263,8 +255,23 @@ class Engine
     std::uint64_t commitIdx = 0;
     std::uint64_t uopsSinceFlush = 0;
 
+    /**
+     * Events count only while some window is open: a window reads
+     * its end values minus its start values and stays open over
+     * that whole span, so an event outside every window belongs to
+     * none. A single window counts exactly its own measured events.
+     */
+    bool measuring() const { return openCount > 0; }
+
+    /** Counters of every event while measuring(). */
     EngineStats stats;
+    std::size_t openCount = 0; //!< windows opened, not yet closed
+    bool collectPerBranch = false;
     std::unordered_map<Addr, PerBranchStat> perBranchMap;
+
+    std::vector<Window> windows;
+    std::uint64_t nextOpen = 0;  //!< next Window::start to snapshot
+    std::uint64_t nextClose = 0; //!< next Window::end to report
 };
 
 } // namespace pcbp

@@ -18,9 +18,10 @@ namespace
 /**
  * A schedulable piece of a sweep: the pending cells of one fork
  * group, executed as one chain (DESIGN.md §11) — a single canonical
- * simulation plus a clone per earlier snapshot point. A unit of one
- * member is a plain run; a unit is a fork chain exactly when it has
- * more than one member.
+ * simulation that every accuracy member reads as a window of, or
+ * that every other timing member forks a clone of. A unit of one
+ * member is a plain run; a unit is a chain exactly when it has more
+ * than one member.
  */
 struct SweepUnit
 {
@@ -109,8 +110,10 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     }
     summary.executedCells = pending.size();
 
-    // Fork-execution host counters (zero when forking is off or no
-    // group shares a warmup prefix).
+    // Chain host counters (zero when forking is off or no group
+    // shares a simulation): snapshots and warmup_branches_saved sum
+    // ChainObs, cells_forked counts every member but each chain's
+    // canonical.
     std::uint64_t fork_groups = 0;
     std::uint64_t fork_snapshots = 0;
     std::uint64_t fork_cells_forked = 0;
@@ -172,8 +175,9 @@ runSweep(const SweepSpec &spec, ResultStore &store,
         std::vector<CellResult> unitResults(unit.members.size());
         ChainObs chainObs;
 
-        // One canonical simulation; every other member is a
-        // mid-warmup fork of it (DESIGN.md §11), bit-identical to a
+        // One canonical simulation per unit (DESIGN.md §11): timing
+        // members fork a clone of it inside their warmup, accuracy
+        // members read a window of it; either way bit-identical to a
         // chain of one per cell.
         if (first.timing) {
             std::vector<TimingConfig> cfgs;

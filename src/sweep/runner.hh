@@ -71,11 +71,12 @@ struct SweepRunOptions
     SpanTracer *tracer = nullptr;
 
     /**
-     * Fork-based execution (DESIGN.md §11): cells that differ only
-     * in run lengths (same workload, predictor recipe, and mode —
-     * equal SweepCell::forkGroupKey()) share one simulation, cloned
-     * at each shorter cell's snapshot point, so every shared warmup
-     * prefix is simulated once. Stores, exports, and stats stay
+     * Chained execution (DESIGN.md §11): cells that differ only in
+     * run lengths (same workload, predictor recipe, and mode — equal
+     * SweepCell::forkGroupKey()) share one simulation — accuracy
+     * cells read windows of the longest run, timing cells fork a
+     * clone at their snapshot point — so every shared prefix is
+     * simulated once. Stores, exports, and stats stay
      * bit-identical with forking on or off (and across `jobs`);
      * off plans every cell as a chain of one (one full simulation
      * per cell) through the same execution path.

@@ -450,6 +450,18 @@ SweepSpec::cells() const
                         std::uint64_t(double(wb) * benchScale()), 100));
             }
             for (const std::uint64_t wb : wbs) {
+                // A trace ends; a warmup that reaches its end would
+                // leave the cell an empty measured window, stored as
+                // a zero row. A window only truncated by the end
+                // still runs (committed_branches < measure_branches).
+                const std::uint64_t records =
+                    w->warmupBranches + w->simBranches;
+                if (!w->tracePath.empty() && wb >= records)
+                    pcbp_fatal("sweep: spec '", name, "', workload '",
+                               w->name, "': warmup ", wb,
+                               " is at or past the trace's ", records,
+                               " records, so the measured window is "
+                               "empty");
                 SweepCell cell = base;
                 cell.warmupBranches = wb;
                 // Collapsed axes (baseline rows, unfiltered critics,

@@ -92,9 +92,9 @@ struct SweepCell
      * key() minus the run-length fields (mb=, wb=). Cells sharing a
      * fork-group key run the *same simulation* — workload, predictor
      * recipe, mode — and differ only in where warmup ends and how
-     * far the measured window runs, so they are prefix-chained runs
-     * of one canonical simulation: the runner simulates the longest
-     * once and forks cloned state into the others (DESIGN.md §11).
+     * far the measured window runs, so the runner simulates them as
+     * one chain (DESIGN.md §11): accuracy cells read windows of the
+     * longest run; timing cells fork cloned state off a canonical.
      */
     std::string forkGroupKey() const;
 
@@ -156,8 +156,11 @@ class SweepSpec
      * 100). Empty keeps the derived default (a tenth of the measured
      * budget, or the workload's own). The warmup-sensitivity figure
      * and the fork benches sweep this axis; its cells differ only in
-     * run lengths, so they share one forked simulation per
-     * configuration (DESIGN.md §11).
+     * run lengths, so they share one simulation per configuration
+     * (DESIGN.md §11): one accuracy run read as a window per warmup,
+     * or one timing run forked per warmup. On a `trace:` workload a
+     * warmup at or past the trace's record count is fatal in
+     * cells(): its measured window would be empty.
      */
     std::vector<std::uint64_t> warmups;
 

@@ -1,30 +1,41 @@
 /**
  * @file
- * Fork/clone equivalence tests (DESIGN.md §11).
+ * Chain equivalence tests (DESIGN.md §11).
  *
- * The fork-based sweep executor rests on one claim: cloning a
- * mid-warmup simulation — program behaviors, predictor, spec core,
- * committed stream — and resuming the clone produces *bit-identical*
- * results to an uninterrupted run. These tests pin that claim
- * registry-wide and at full event granularity:
+ * The chain executor rests on two claims. An accuracy run of
+ * (warmup, measure) is a window of any longer run of the same
+ * configuration, so one Engine run serves every member of a warmup
+ * ladder. A timing run cannot be read as a window, so cloning a
+ * mid-warmup TimingSim — program behaviors, predictor, spec core,
+ * committed stream — and resuming the clone must produce
+ * *bit-identical* results to an uninterrupted run. These tests pin
+ * both claims registry-wide:
  *
- * - for every factory prophet and every critic kind, on both
- *   simulators, a run forked at an arbitrary in-warmup branch must
- *   reproduce the uninterrupted run's commit-order event stream
- *   (canonical prefix + fork suffix, event by event) and its final
- *   stats, field by field;
- * - the equivalence must survive checkpoint-slab growth (pipeline
- *   deeper than the slab's initial capacity) and recovery-heavy
- *   configurations (weak prophet, frequent flushes around the fork
- *   point);
+ * - for every factory prophet and every critic kind, a three-member
+ *   accuracy chain equals three direct Engine runs, field by field
+ *   and in every statsOut export — also with a pipeline deeper than
+ *   the checkpoint slab, on a recovery-heavy workload, with a member
+ *   clamped at a trace's end, with a longest run that is not the
+ *   largest warmup, and with per-branch collection;
+ * - on the timing model, a run forked at an arbitrary in-warmup
+ *   branch must reproduce the uninterrupted run's commit-order event
+ *   stream (canonical prefix + fork suffix, event by event) and its
+ *   final stats, surviving recovery-heavy configurations around the
+ *   fork point;
  * - the chain drivers (runAccuracyChain / runTimingChain) must equal
  *   one directly constructed simulator run per cell (a chain of one
- *   included), and the sweep runner's stores must be byte-identical
- *   with forking on or off, at any job count.
+ *   included), and the sweep runner's stores — `--cell-stats` blocks
+ *   included — must be byte-identical with forking on or off, at any
+ *   job count.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "sweep/runner.hh"
 #include "workload/generator.hh"
@@ -100,6 +111,14 @@ expectSameStats(const EngineStats &a, const EngineStats &b)
         EXPECT_EQ(a.critiques.get(cls), b.critiques.get(cls));
     EXPECT_EQ(a.flushDistance.count(), b.flushDistance.count());
     EXPECT_EQ(a.flushDistance.buckets(), b.flushDistance.buckets());
+    EXPECT_EQ(a.flushDistance.mean(), b.flushDistance.mean());
+    ASSERT_EQ(a.perBranch.size(), b.perBranch.size());
+    for (std::size_t i = 0; i < a.perBranch.size(); ++i) {
+        EXPECT_EQ(a.perBranch[i].pc, b.perBranch[i].pc);
+        EXPECT_EQ(a.perBranch[i].execs, b.perBranch[i].execs);
+        EXPECT_EQ(a.perBranch[i].prophetWrong, b.perBranch[i].prophetWrong);
+        EXPECT_EQ(a.perBranch[i].finalWrong, b.perBranch[i].finalWrong);
+    }
 }
 
 void
@@ -116,58 +135,6 @@ expectSameStats(const TimingStats &a, const TimingStats &b)
               b.ftqEntriesFlushedByCritic);
     EXPECT_EQ(a.partialCritiques, b.partialCritiques);
     EXPECT_EQ(a.ftqEmptyCycles, b.ftqEmptyCycles);
-}
-
-/** Uninterrupted engine run: full event stream + stats. */
-std::pair<std::vector<CommitEvent>, EngineStats>
-engineStraight(const WorkloadRecipe &recipe, const HybridSpec &spec,
-               EngineConfig cfg)
-{
-    Program p = generateProgram(recipe);
-    auto h = spec.build();
-    RecordingSink sink;
-    cfg.commitSink = &sink;
-    const EngineStats st = Engine(p, *h, cfg).run();
-    return {std::move(sink.events), st};
-}
-
-/**
- * The same run, but paused at commit @p fork_at (inside warmup),
- * forked — program, predictor, stream, engine all cloned — and
- * finished on the clone. Returns the canonical prefix concatenated
- * with the fork's suffix, plus the fork's stats.
- */
-std::pair<std::vector<CommitEvent>, EngineStats>
-engineForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
-             EngineConfig cfg, std::uint64_t fork_at)
-{
-    const std::uint64_t total =
-        cfg.warmupBranches + cfg.measureBranches;
-
-    Program p = generateProgram(recipe);
-    auto h = spec.build();
-    RecordingSink canon_sink;
-    EngineConfig canon_cfg = cfg;
-    canon_cfg.commitSink = &canon_sink;
-    Engine canon(p, *h, canon_cfg);
-    ProgramWalkStream stream(p, total);
-    canon.beginRun(stream);
-    canon.stepUntil(fork_at, stream);
-    EXPECT_EQ(canon.committedSoFar(), fork_at);
-
-    Program fork_prog = p.clone();
-    auto fork_hybrid = h->clone();
-    RecordingSink fork_sink;
-    EngineConfig fork_cfg = cfg;
-    fork_cfg.commitSink = &fork_sink;
-    ProgramWalkStream fork_stream(stream, fork_prog, total);
-    Engine fork(canon, fork_prog, *fork_hybrid, fork_cfg);
-    const EngineStats st = fork.resumeRun(fork_stream);
-
-    std::vector<CommitEvent> events = std::move(canon_sink.events);
-    events.insert(events.end(), fork_sink.events.begin(),
-                  fork_sink.events.end());
-    return {std::move(events), st};
 }
 
 /** Uninterrupted timing run: full event stream + stats. */
@@ -223,15 +190,6 @@ timingForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
     return {std::move(events), st};
 }
 
-EngineConfig
-smallEngine()
-{
-    EngineConfig cfg;
-    cfg.measureBranches = 4000;
-    cfg.warmupBranches = 600;
-    return cfg;
-}
-
 TimingConfig
 smallTiming()
 {
@@ -242,56 +200,7 @@ smallTiming()
     return cfg;
 }
 
-// --------------------------------------------- registry-wide forks
-
-/**
- * Every factory prophet, forked at arbitrary in-warmup points
- * (immediately after the first commit, mid-warmup, and at the last
- * possible snapshot): event streams and stats bit-identical to the
- * uninterrupted run.
- */
-TEST(Fork, EngineMatchesUninterruptedForEveryProphet)
-{
-    for (const ProphetKind kind : allProphetKinds()) {
-        const WorkloadRecipe recipe = forkRecipe(31);
-        const HybridSpec spec = prophetAlone(kind, Budget::B2KB);
-        const EngineConfig cfg = smallEngine();
-        const auto [ref_events, ref_stats] =
-            engineStraight(recipe, spec, cfg);
-
-        for (const std::uint64_t fork_at : {1ull, 317ull, 599ull}) {
-            SCOPED_TRACE(prophetKindName(kind) + " fork@" +
-                         std::to_string(fork_at));
-            const auto [events, stats] =
-                engineForked(recipe, spec, cfg, fork_at);
-            expectSameEvents(events, ref_events);
-            expectSameStats(stats, ref_stats);
-        }
-    }
-}
-
-/** Every critic kind riding on two prophets, same contract. */
-TEST(Fork, EngineMatchesUninterruptedForEveryCritic)
-{
-    for (const CriticKind critic : allCriticKinds()) {
-        for (const ProphetKind prophet :
-             {ProphetKind::Gshare, ProphetKind::Tage}) {
-            const WorkloadRecipe recipe = forkRecipe(32);
-            const HybridSpec spec = hybridSpec(
-                prophet, Budget::B2KB, critic, Budget::B2KB, 8);
-            const EngineConfig cfg = smallEngine();
-
-            SCOPED_TRACE(criticKindName(critic) + " on " +
-                         prophetKindName(prophet));
-            const auto [ref_events, ref_stats] =
-                engineStraight(recipe, spec, cfg);
-            const auto [events, stats] =
-                engineForked(recipe, spec, cfg, 211);
-            expectSameEvents(events, ref_events);
-            expectSameStats(stats, ref_stats);
-        }
-    }
-}
+// ------------------------------------------ registry-wide timing forks
 
 /** The timing model honors the same contract, registry-wide. */
 TEST(Fork, TimingMatchesUninterruptedForEveryProphet)
@@ -330,28 +239,27 @@ TEST(Fork, TimingMatchesUninterruptedForHybrid)
     expectSameStats(stats, ref_stats);
 }
 
-// ----------------------------------------------------- stress cases
+// ----------------------------------------------- timing stress cases
 
 /**
- * Checkpoint-slab growth: a pipeline deeper than the spec core's
- * initial slab capacity forces mid-run reallocation; forking after
- * the growth must still be exact (absolute indices survive the
- * copy).
+ * Checkpoint-slab growth: an FTQ deeper than the spec core's initial
+ * slab capacity forces mid-run reallocation; forking after the
+ * growth must still be exact (absolute indices survive the copy).
  */
-TEST(Fork, SurvivesCheckpointSlabGrowth)
+TEST(Fork, TimingSurvivesCheckpointSlabGrowth)
 {
     const WorkloadRecipe recipe = forkRecipe(35);
     const HybridSpec spec =
         hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
                    CriticKind::TaggedGshare, Budget::B2KB, 8);
-    EngineConfig cfg = smallEngine();
-    cfg.pipelineDepth = 96; // > the initial 64-entry slab
+    TimingConfig cfg = smallTiming();
+    cfg.ftqSize = 96; // > the initial 64-entry slab
     const auto [ref_events, ref_stats] =
-        engineStraight(recipe, spec, cfg);
-    for (const std::uint64_t fork_at : {5ull, 480ull}) {
-        SCOPED_TRACE("fork@" + std::to_string(fork_at));
+        timingStraight(recipe, spec, cfg);
+    for (const std::uint64_t target : {5ull, 480ull}) {
+        SCOPED_TRACE("target " + std::to_string(target));
         const auto [events, stats] =
-            engineForked(recipe, spec, cfg, fork_at);
+            timingForked(recipe, spec, cfg, target);
         expectSameEvents(events, ref_events);
         expectSameStats(stats, ref_stats);
     }
@@ -363,20 +271,20 @@ TEST(Fork, SurvivesCheckpointSlabGrowth)
  * in-flight wrong-path state; the clone must reproduce every
  * recovery.
  */
-TEST(Fork, SurvivesRecoveryHeavyWorkload)
+TEST(Fork, TimingSurvivesRecoveryHeavyWorkload)
 {
     WorkloadRecipe recipe = forkRecipe(36);
     recipe.numPhaseChains = 6; // churn: phases invalidate history
     const HybridSpec spec =
         hybridSpec(ProphetKind::Gshare, Budget::B2KB,
                    CriticKind::FilteredPerceptron, Budget::B2KB, 12);
-    const EngineConfig cfg = smallEngine();
+    const TimingConfig cfg = smallTiming();
     const auto [ref_events, ref_stats] =
-        engineStraight(recipe, spec, cfg);
-    for (const std::uint64_t fork_at : {63ull, 599ull}) {
-        SCOPED_TRACE("fork@" + std::to_string(fork_at));
+        timingStraight(recipe, spec, cfg);
+    for (const std::uint64_t target : {63ull, 590ull}) {
+        SCOPED_TRACE("target " + std::to_string(target));
         const auto [events, stats] =
-            engineForked(recipe, spec, cfg, fork_at);
+            timingForked(recipe, spec, cfg, target);
         expectSameEvents(events, ref_events);
         expectSameStats(stats, ref_stats);
     }
@@ -400,6 +308,223 @@ directRun(const Workload &w, const HybridSpec &spec, const Config &cfg)
         return sim.run();
     auto stream = openTraceStream(w.tracePath);
     return sim.run(*stream);
+}
+
+// ----------------------------------------------- accuracy windows
+
+/** A CFG workload built from @p recipe. */
+Workload
+forkWorkload(const WorkloadRecipe &recipe)
+{
+    Workload w;
+    w.name = recipe.name;
+    w.suite = "FORK";
+    w.recipe = recipe;
+    return w;
+}
+
+/**
+ * Three run lengths of one configuration. The longest run (warmup
+ * 200, ending at 5200) is not the largest warmup (1200), and the
+ * largest warmup ends first.
+ */
+std::vector<EngineConfig>
+windowLadder(const EngineConfig &base)
+{
+    std::vector<EngineConfig> configs;
+    for (const auto &[wb, mb] :
+         {std::pair<std::uint64_t, std::uint64_t>{600, 4000},
+          {200, 5000},
+          {1200, 1500}}) {
+        EngineConfig cfg = base;
+        cfg.warmupBranches = wb;
+        cfg.measureBranches = mb;
+        configs.push_back(cfg);
+    }
+    return configs;
+}
+
+/**
+ * runAccuracyChain over @p configs equals one direct Engine run per
+ * config: the returned stats field by field, and each member's
+ * statsOut export (engine.*, core.*, stream.*, predictor.*).
+ * @return the chain's stats.
+ */
+std::vector<EngineStats>
+expectChainMatchesDirectRuns(const Workload &w, const HybridSpec &spec,
+                             std::vector<EngineConfig> configs)
+{
+    std::vector<StatRegistry> chain_regs(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        configs[i].statsOut = &chain_regs[i];
+    ChainObs obs;
+    const std::vector<EngineStats> chained =
+        runAccuracyChain(w, spec, configs, &obs);
+    EXPECT_EQ(obs.snapshots, configs.size() - 1);
+    EXPECT_EQ(chained.size(), configs.size());
+
+    for (std::size_t i = 0; i < chained.size(); ++i) {
+        SCOPED_TRACE("member " + std::to_string(i));
+        StatRegistry direct_reg;
+        EngineConfig cfg = configs[i];
+        cfg.statsOut = &direct_reg;
+        expectSameStats(chained[i], directRun<Engine>(w, spec, cfg));
+        EXPECT_EQ(chain_regs[i].simJson(), direct_reg.simJson());
+    }
+    return chained;
+}
+
+/** Every factory prophet: a chain of three windows, exact. */
+TEST(Fork, AccuracyChainMatchesDirectRunsForEveryProphet)
+{
+    const Workload w = forkWorkload(forkRecipe(31));
+    for (const ProphetKind kind : allProphetKinds()) {
+        SCOPED_TRACE(prophetKindName(kind));
+        expectChainMatchesDirectRuns(
+            w, prophetAlone(kind, Budget::B2KB), windowLadder({}));
+    }
+}
+
+/** Every critic kind riding on two prophets, same contract. */
+TEST(Fork, AccuracyChainMatchesDirectRunsForEveryCritic)
+{
+    const Workload w = forkWorkload(forkRecipe(32));
+    for (const CriticKind critic : allCriticKinds()) {
+        for (const ProphetKind prophet :
+             {ProphetKind::Gshare, ProphetKind::Tage}) {
+            SCOPED_TRACE(criticKindName(critic) + " on " +
+                         prophetKindName(prophet));
+            expectChainMatchesDirectRuns(
+                w,
+                hybridSpec(prophet, Budget::B2KB, critic, Budget::B2KB,
+                           8),
+                windowLadder({}));
+        }
+    }
+}
+
+/**
+ * Checkpoint-slab growth: a pipeline deeper than the spec core's
+ * initial slab capacity reallocates mid-run, inside some windows and
+ * before others.
+ */
+TEST(Fork, AccuracyChainSurvivesCheckpointSlabGrowth)
+{
+    EngineConfig base;
+    base.pipelineDepth = 96; // > the initial 64-entry slab
+    expectChainMatchesDirectRuns(
+        forkWorkload(forkRecipe(35)),
+        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
+                   CriticKind::TaggedGshare, Budget::B2KB, 8),
+        windowLadder(base));
+}
+
+/**
+ * Recovery-heavy windows: a tiny prophet on a phase-churning
+ * workload flushes constantly, so window edges routinely land on a
+ * flush, whose flush-side counts belong to the window it opens.
+ */
+TEST(Fork, AccuracyChainSurvivesRecoveryHeavyWorkload)
+{
+    WorkloadRecipe recipe = forkRecipe(36);
+    recipe.numPhaseChains = 6; // churn: phases invalidate history
+    expectChainMatchesDirectRuns(
+        forkWorkload(recipe),
+        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
+                   CriticKind::FilteredPerceptron, Budget::B2KB, 12),
+        windowLadder({}));
+}
+
+/**
+ * Window edges on a flush, checked against the commit-event stream
+ * of a tapped full run rather than against another windowed run
+ * (Engine::run is itself a single window). A run warmed for w
+ * branches counts the flush of branch w-1, which lands after the
+ * commit cursor reaches w, and a run ending at e counts the flush of
+ * branch e-1; the edges below sit on mispredicted branches.
+ */
+TEST(Fork, AccuracyChainWindowEdgesOnFlushes)
+{
+    const Workload w = forkWorkload(forkRecipe(39));
+    const HybridSpec spec =
+        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
+                   CriticKind::TaggedGshare, Budget::B2KB, 8);
+
+    RecordingSink sink;
+    EngineConfig probe;
+    probe.warmupBranches = 0;
+    probe.measureBranches = 6000;
+    probe.commitSink = &sink;
+    directRun<Engine>(w, spec, probe);
+    ASSERT_EQ(sink.events.size(), 6000u);
+    std::vector<std::uint64_t> flushes;
+    for (const CommitEvent &e : sink.events)
+        if (e.finalPred != e.outcome && e.index >= 500)
+            flushes.push_back(e.index);
+    ASSERT_GE(flushes.size(), 3u);
+
+    std::vector<EngineConfig> configs(3);
+    configs[0].warmupBranches = flushes[0] + 1;
+    configs[0].measureBranches = flushes[2] - flushes[0];
+    configs[1].warmupBranches = flushes[1] + 1;
+    configs[1].measureBranches = 4000;
+    configs[2].warmupBranches = 100;
+    configs[2].measureBranches = flushes[1] + 1 - 100;
+    const std::vector<EngineStats> chained =
+        expectChainMatchesDirectRuns(w, spec, configs);
+    ASSERT_EQ(chained.size(), 3u);
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("member " + std::to_string(i));
+        const std::uint64_t start = configs[i].warmupBranches;
+        const std::uint64_t end = start + configs[i].measureBranches;
+        std::uint64_t uops = 0;
+        std::uint64_t flushed = 0;
+        for (const CommitEvent &e : sink.events) {
+            if (e.index >= start && e.index < end)
+                uops += e.numUops;
+            if (e.index + 1 >= start && e.index < end &&
+                e.finalPred != e.outcome)
+                ++flushed;
+        }
+        EXPECT_EQ(chained[i].committedBranches, end - start);
+        EXPECT_EQ(chained[i].committedUops, uops);
+        EXPECT_EQ(chained[i].finalMispredicts, flushed);
+    }
+}
+
+/**
+ * The canonical is the longest run, not the largest warmup: the
+ * chain simulates once to 5200 branches, and every other member's
+ * full warmup counts as saved.
+ */
+TEST(Fork, AccuracyChainCanonicalIsTheLongestRun)
+{
+    const Workload w = forkWorkload(forkRecipe(37));
+    const std::vector<EngineConfig> configs = windowLadder({});
+    ChainObs obs;
+    runAccuracyChain(w, prophetAlone(ProphetKind::Gshare, Budget::B2KB),
+                     configs, &obs);
+    EXPECT_EQ(obs.snapshots, 2u);
+    EXPECT_EQ(obs.warmupBranchesSaved, 600u + 1200u);
+}
+
+/** Per-branch collection rides through windows, member by member. */
+TEST(Fork, AccuracyChainCollectsPerBranch)
+{
+    std::vector<EngineConfig> configs = windowLadder({});
+    configs[0].collectPerBranch = true;
+    configs[2].collectPerBranch = true;
+    const std::vector<EngineStats> chained =
+        expectChainMatchesDirectRuns(
+            forkWorkload(forkRecipe(38)),
+            hybridSpec(ProphetKind::Gshare, Budget::B2KB,
+                       CriticKind::TaggedGshare, Budget::B2KB, 8),
+            configs);
+    ASSERT_EQ(chained.size(), 3u);
+    EXPECT_FALSE(chained[0].perBranch.empty());
+    EXPECT_TRUE(chained[1].perBranch.empty());
+    EXPECT_FALSE(chained[2].perBranch.empty());
 }
 
 /** runAccuracyChain == one direct Engine run per config. */
@@ -660,6 +785,103 @@ TEST(Fork, SweepStoreBytesIdenticalForkVsReplayOnCompressedTrace)
     const std::string replay = runWith(false, 1);
     EXPECT_EQ(runWith(true, 1), replay);
     EXPECT_EQ(runWith(true, 4), replay);
+}
+
+/**
+ * Windows at a trace's end: a member whose run passes the last
+ * record is clamped there, a member whose warmup ends exactly at the
+ * last record keeps that record's flush-side counts, and a member
+ * whose warmup passes the end reads zero — each exactly as its own
+ * run over the trace does.
+ */
+TEST(Fork, AccuracyChainClampsWindowsAtTraceEnd)
+{
+    const RecordedTracePair t(79, 6000);
+    const Workload &w = workloadByName("trace:" + t.v2);
+    std::vector<EngineConfig> configs;
+    for (const auto &[wb, mb] :
+         {std::pair<std::uint64_t, std::uint64_t>{500, 2000},
+          {3000, 5000},
+          {6000, 100},
+          {6500, 1000}}) {
+        EngineConfig cfg;
+        cfg.warmupBranches = wb;
+        cfg.measureBranches = mb;
+        configs.push_back(cfg);
+    }
+    const std::vector<EngineStats> chained = expectChainMatchesDirectRuns(
+        w,
+        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
+                   CriticKind::TaggedGshare, Budget::B2KB, 8),
+        configs);
+    ASSERT_EQ(chained.size(), 4u);
+    EXPECT_EQ(chained[0].committedBranches, 2000u);
+    EXPECT_EQ(chained[1].committedBranches, 3000u);
+    EXPECT_EQ(chained[2].committedBranches, 0u);
+    EXPECT_EQ(chained[3].committedBranches, 0u);
+    EXPECT_EQ(chained[3].finalMispredicts, 0u);
+}
+
+/** Read a whole file (empty if missing). */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+}
+
+/**
+ * `--cell-stats` stores: each cell's persisted sim scalars (engine.*
+ * windowed, core.*, stream.*, predictor.* at its own end) are
+ * byte-identical with forking on or off, on a CFG workload and on a
+ * PCBPTRC2 recording of it.
+ */
+TEST(Fork, CellStatsStoresIdenticalForkVsReplay)
+{
+    const std::string v1 = testing::TempDir() + "fork_cell_stats.pcbptrc";
+    const std::string v2 = v1 + "2";
+    {
+        Program p = buildProgram(workloadByName("int.parser"));
+        saveTrace(v1, walkProgram(p, 8000));
+        convertTraceFile(v1, v2, true, 256);
+    }
+
+    for (const std::string &workload : {std::string("int.parser"),
+                                        "trace:" + v2}) {
+        SCOPED_TRACE(workload);
+        SweepSpec spec;
+        spec.name = "fork-cell-stats";
+        spec.axes.prophets = {ProphetKind::Gshare};
+        spec.axes.critics = {std::nullopt, CriticKind::TaggedGshare};
+        spec.workloads = {workload};
+        spec.branches = 3000;
+        spec.warmups = {400, 900, 1400};
+
+        const auto storeBytes = [&](bool fork, unsigned jobs) {
+            const std::string path =
+                testing::TempDir() + "fork_cell_stats.jsonl";
+            std::remove(path.c_str());
+            {
+                ResultStore store(path);
+                SweepRunOptions opt;
+                opt.fork = fork;
+                opt.jobs = jobs;
+                opt.cellStats = true;
+                runSweep(spec, store, opt);
+            }
+            const std::string bytes = slurp(path);
+            std::remove(path.c_str());
+            return bytes;
+        };
+
+        const std::string replay = storeBytes(false, 1);
+        ASSERT_NE(replay.find("\"predictor."), std::string::npos)
+            << "no per-cell stats block";
+        EXPECT_EQ(storeBytes(true, 1), replay);
+        EXPECT_EQ(storeBytes(true, 3), replay);
+    }
 }
 
 /**

@@ -17,6 +17,7 @@
 #include "predictors/fusion.hh"
 #include "predictors/gshare.hh"
 #include "sim/driver.hh"
+#include "sweep/runner.hh"
 #include "sweep/sweep_spec.hh"
 #include "workload/trace.hh"
 
@@ -109,6 +110,51 @@ TEST(RobustnessDeath, SweepSpecFilterTagBitsOutOfRangeIsFatal)
                          "workloads = mm.mpeg\n");
     EXPECT_EQ(edge.axes.filterTagBits,
               (std::vector<unsigned>{0, 4, 16}));
+}
+
+/**
+ * A trace ends: a cell whose warmup reaches the trace's record count
+ * has an empty measured window. The grid is fatal before any cell
+ * runs, naming the workload, the warmup and the record count; a cell
+ * whose window the end only truncates still runs and stores what it
+ * measured.
+ */
+TEST(RobustnessDeath, SweepWarmupPastTraceEndIsFatal)
+{
+    const std::string path =
+        testing::TempDir() + "pcbp_short_ladder.pcbptrc";
+    {
+        Program p = buildProgram(workloadByName("mm.mpeg"));
+        saveTrace(path, walkProgram(p, 5000));
+    }
+    SweepSpec spec = SweepSpec::parse("name = short\n"
+                                      "prophet = gshare\n"
+                                      "critic = none\n"
+                                      "branches = 2000\n"
+                                      "warmup = 4000, 5000\n"
+                                      "workloads = trace:" +
+                                      path + "\n");
+    EXPECT_EXIT(spec.cells(), testing::ExitedWithCode(1),
+                "sweep: spec 'short', workload 'trace:.*': warmup 5000 "
+                "is at or past the trace's 5000 records");
+    EXPECT_EXIT(
+        {
+            ResultStore store;
+            runSweep(spec, store);
+        },
+        testing::ExitedWithCode(1), "measured window is empty");
+
+    spec.warmups = {4000, 4999};
+    ResultStore store;
+    SweepRunOptions opt;
+    opt.jobs = 1;
+    runSweep(spec, store, opt);
+    ASSERT_EQ(store.all().size(), 2u);
+    EXPECT_EQ(store.all()[0].measureBranches, 2000u);
+    EXPECT_EQ(store.all()[0].committedBranches, 1000u);
+    EXPECT_EQ(store.all()[1].measureBranches, 2000u);
+    EXPECT_EQ(store.all()[1].committedBranches, 1u);
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ corrupted traces
