@@ -32,12 +32,6 @@ UnfilteredCritic::reset()
     inner->reset();
 }
 
-FilteredPredictorPtr
-UnfilteredCritic::clone() const
-{
-    return std::make_unique<UnfilteredCritic>(inner->clone());
-}
-
 std::size_t
 UnfilteredCritic::sizeBits() const
 {

@@ -22,7 +22,6 @@ class UnfilteredCritic final : public FilteredPredictor
     void train(Addr pc, const HistoryRegister &bor, bool taken,
                bool mispredicted) override;
     void reset() override;
-    FilteredPredictorPtr clone() const override;
     std::size_t sizeBits() const override;
     unsigned borBits() const override;
     std::string name() const override;

@@ -40,10 +40,6 @@ class FilteredPerceptron final : public FilteredPredictor
                bool mispredicted) override;
     void reset() override;
 
-    FilteredPredictorPtr clone() const override
-    {
-        return std::make_unique<FilteredPerceptron>(*this);
-    }
     std::size_t sizeBits() const override;
     unsigned borBits() const override;
     std::string name() const override;

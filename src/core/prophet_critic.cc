@@ -132,16 +132,6 @@ ProphetCriticHybrid::reset()
     liveBor.reset();
 }
 
-std::unique_ptr<ProphetCriticHybrid>
-ProphetCriticHybrid::clone() const
-{
-    auto out = std::make_unique<ProphetCriticHybrid>(
-        prophet->clone(), critic ? critic->clone() : nullptr, cfg);
-    out->liveBhr = liveBhr;
-    out->liveBor = liveBor;
-    return out;
-}
-
 std::size_t
 ProphetCriticHybrid::sizeBits() const
 {

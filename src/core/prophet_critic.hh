@@ -151,14 +151,6 @@ class ProphetCriticHybrid
     /** Reset all predictor and register state. */
     void reset();
 
-    /**
-     * Deep copy: prophet and critic cloned (trained state included),
-     * live BHR/BOR values copied. The clone's future event sequence
-     * behaves exactly as this hybrid's would — the snapshot seam of
-     * fork-based sweep execution (DESIGN.md §11).
-     */
-    std::unique_ptr<ProphetCriticHybrid> clone() const;
-
     /** Combined storage of prophet + critic. */
     std::size_t sizeBits() const;
     std::size_t sizeBytes() const { return (sizeBits() + 7) / 8; }

@@ -36,10 +36,6 @@ class TaggedGshare final : public FilteredPredictor
                bool mispredicted) override;
     void reset() override;
 
-    FilteredPredictorPtr clone() const override
-    {
-        return std::make_unique<TaggedGshare>(*this);
-    }
     std::size_t sizeBits() const override;
     unsigned borBits() const override { return filter.borBits(); }
     std::string name() const override;

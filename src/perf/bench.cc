@@ -201,7 +201,7 @@ sweepBody(const BenchContext &ctx)
 /**
  * The shared-warmup ladder grid both fork benches run: one
  * configuration, ten warmup budgets, a small fixed measured window —
- * the grid shape fork-based execution optimizes (DESIGN.md §11).
+ * the grid shape chained execution optimizes (DESIGN.md §11).
  * Work items are the grid's total branches Σ(wb+mb), identical for
  * both benches, so the fork/replay throughput ratio is exactly the
  * wall-clock ratio.
@@ -348,9 +348,9 @@ buildRegistry()
                         return forkLadderBody(ctx, false);
                     }});
     defs.push_back({"sweep.fork_grid", "sweep",
-                    "the same ladder grid with fork-based execution "
-                    "(DESIGN.md §11): one canonical simulation per "
-                    "config, cloned at each snapshot; items match "
+                    "the same ladder grid chained (DESIGN.md §11): "
+                    "one canonical simulation per config, every rung "
+                    "read as a counter window of it; items match "
                     "replay_grid, so the throughput ratio is the "
                     "wall-clock ratio",
                     "branch", [](const BenchContext &ctx) {

@@ -25,7 +25,7 @@
  *    workload (overridable, including trace:<path>);
  *  - sweep.* / repro.*: wall-clock of sweep grids (including the
  *    fork_grid/replay_grid shared-warmup ladder pair, which prices
- *    fork-based execution — DESIGN.md §11) and one quick-scale repro
+ *    chained execution — DESIGN.md §11) and one quick-scale repro
  *    figure through the real orchestration layers.
  *
  * Benchmark bodies rebuild all predictor/simulator state every

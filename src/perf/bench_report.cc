@@ -1,6 +1,7 @@
 #include "perf/bench_report.hh"
 
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -219,6 +220,38 @@ benchRunTable(const BenchRun &run)
                   fmtDouble(r.m.throughput() / 1e6, 3)});
     }
     return t;
+}
+
+void
+makeBenchOutDir(const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    if (!ec && !fs::is_directory(dir, ec))
+        ec = std::make_error_code(std::errc::not_a_directory);
+    if (ec)
+        pcbp_fatal("bench: cannot create '", dir, "': ", ec.message());
+}
+
+std::string
+writeBenchRun(const BenchRun &run, const std::string &dir)
+{
+    const std::string stem = dir + "/BENCH_" + run.name;
+    writeFileOrDie(stem + ".json", benchRunToJson(run));
+    writeFileOrDie(stem + ".md", benchRunTable(run).toMarkdown());
+    return stem;
+}
+
+void
+writeFileOrDie(const std::string &path, const std::string &content)
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        pcbp_fatal("cannot write '", path, "'");
+    out << content;
+    if (!out.flush())
+        pcbp_fatal("short write to '", path, "'");
 }
 
 BenchComparison

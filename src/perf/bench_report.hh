@@ -73,6 +73,24 @@ BenchRun loadBenchRun(const std::string &path);
 /** The Markdown summary table for one run (reusing ReportTable). */
 ReportTable benchRunTable(const BenchRun &run);
 
+/**
+ * Create @p dir, parents included, to receive a run's artifacts.
+ * Fatal (exit 1) with a `cannot create` message naming @p dir when
+ * it cannot be made, so `pcbp_bench run --out` refuses a bad
+ * directory before it measures anything.
+ */
+void makeBenchOutDir(const std::string &dir);
+
+/**
+ * Write @p run into the existing @p dir as `BENCH_<name>.json` plus
+ * the `.md` summary table; returns their shared path stem. Fatal on
+ * a failed write.
+ */
+std::string writeBenchRun(const BenchRun &run, const std::string &dir);
+
+/** Write @p content to @p path; fatal on any failure. */
+void writeFileOrDie(const std::string &path, const std::string &content);
+
 /** One benchmark's baseline/current comparison. */
 struct BenchDelta
 {

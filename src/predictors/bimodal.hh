@@ -29,10 +29,6 @@ class Bimodal final : public DirectionPredictor
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
     void reset() override;
 
-    DirectionPredictorPtr clone() const override
-    {
-        return std::make_unique<Bimodal>(*this);
-    }
     std::size_t sizeBits() const override;
     unsigned historyLength() const override { return 0; }
     std::string name() const override;

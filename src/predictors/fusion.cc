@@ -64,19 +64,6 @@ FusionHybrid::reset()
         f.set(1);
 }
 
-DirectionPredictorPtr
-FusionHybrid::clone() const
-{
-    std::vector<DirectionPredictorPtr> comps_copy;
-    comps_copy.reserve(comps.size());
-    for (const auto &c : comps)
-        comps_copy.push_back(c->clone());
-    auto out = std::make_unique<FusionHybrid>(std::move(comps_copy),
-                                              fusion.size());
-    out->fusion = fusion;
-    return out;
-}
-
 std::size_t
 FusionHybrid::sizeBits() const
 {

@@ -34,7 +34,6 @@ class FusionHybrid final : public DirectionPredictor
     bool predict(Addr pc, const HistoryRegister &hist) override;
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
     void reset() override;
-    DirectionPredictorPtr clone() const override;
     std::size_t sizeBits() const override;
     unsigned historyLength() const override;
     std::string name() const override;

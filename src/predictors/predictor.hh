@@ -80,16 +80,6 @@ class DirectionPredictor
     /** Clear all prediction state. */
     virtual void reset() = 0;
 
-    /**
-     * Deep copy, trained state included: the clone's future
-     * predict/update sequence behaves exactly as this predictor's
-     * would, with no aliasing between the two. This is the snapshot
-     * seam behind fork-based sweep execution (DESIGN.md §11); the
-     * determinism contract above is what makes a clone equivalent to
-     * replaying the call sequence.
-     */
-    virtual DirectionPredictorPtr clone() const = 0;
-
     /** Storage cost in bits (counts counters, weights, tags, LRU). */
     virtual std::size_t sizeBits() const = 0;
 
@@ -154,10 +144,6 @@ class FilteredPredictor
 
     /** Clear all state. */
     virtual void reset() = 0;
-
-    /** As DirectionPredictor::clone(): deep copy, trained state
-     *  and filter entries included. */
-    virtual FilteredPredictorPtr clone() const = 0;
 
     /** Storage cost in bits. */
     virtual std::size_t sizeBits() const = 0;

@@ -35,10 +35,6 @@ class SkewedPerceptron final : public DirectionPredictor
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
     void reset() override;
 
-    DirectionPredictorPtr clone() const override
-    {
-        return std::make_unique<SkewedPerceptron>(*this);
-    }
     std::size_t sizeBits() const override;
     unsigned historyLength() const override { return histBits; }
     std::string name() const override;

@@ -28,10 +28,6 @@ class StaticPredictor final : public DirectionPredictor
     void update(Addr, const HistoryRegister &, bool) override {}
     void reset() override {}
 
-    DirectionPredictorPtr clone() const override
-    {
-        return std::make_unique<StaticPredictor>(*this);
-    }
 
     std::size_t sizeBits() const override { return 0; }
     unsigned historyLength() const override { return 0; }

@@ -77,10 +77,6 @@ class Tage final : public DirectionPredictor
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
     void reset() override;
 
-    DirectionPredictorPtr clone() const override
-    {
-        return std::make_unique<Tage>(*this);
-    }
     std::size_t sizeBits() const override;
     unsigned historyLength() const override { return maxHistory; }
     std::string name() const override;

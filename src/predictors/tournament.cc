@@ -54,15 +54,6 @@ Tournament::reset()
         c.set(1);
 }
 
-DirectionPredictorPtr
-Tournament::clone() const
-{
-    auto out = std::make_unique<Tournament>(
-        comp0->clone(), comp1->clone(), chooser.size());
-    out->chooser = chooser;
-    return out;
-}
-
 std::size_t
 Tournament::sizeBits() const
 {

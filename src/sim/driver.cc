@@ -178,93 +178,6 @@ runAccuracyChain(const Workload &w, const HybridSpec &spec,
     return results;
 }
 
-std::vector<TimingStats>
-runTimingChain(const Workload &w, const HybridSpec &spec,
-               const std::vector<TimingConfig> &configs, ChainObs *obs)
-{
-    pcbp_assert(!configs.empty());
-    if (configs.size() > 1) {
-        for (const TimingConfig &c : configs) {
-            pcbp_assert(c.commitSink == nullptr,
-                        "a fork cannot replay a commit tap's prefix; sink "
-                        "cells run as chains of one");
-            pcbp_assert(c.warmupBranches >= 1,
-                        "chaining a cell with no warmup saves nothing");
-            pcbp_assert(timingForkable(c),
-                        "short-measure timing cells run as chains of one");
-        }
-    }
-
-    // Snapshot points must be visited oldest-first; the canonical is
-    // the lexicographic-max (warmup, measure) point, so it is still
-    // running when every earlier point forks.
-    std::vector<std::size_t> order(configs.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (configs[a].warmupBranches !=
-                      configs[b].warmupBranches) {
-                      return configs[a].warmupBranches <
-                             configs[b].warmupBranches;
-                  }
-                  return configs[a].measureBranches <
-                         configs[b].measureBranches;
-              });
-
-    Program program = buildProgram(w);
-    auto hybrid = spec.build();
-    const TimingConfig &canon = configs[order.back()];
-    TimingSim sim(program, *hybrid, canon);
-
-    std::vector<TimingStats> results(configs.size());
-
-    // Run the canonical, pausing at each earlier point's snapshot
-    // target to fork cloned {program, predictor, stream, simulator}
-    // state; each fork then runs only its own remainder. A chain of
-    // one is a plain run: beginRun then finishRun, no clone.
-    const auto drive = [&](CommittedStream &stream,
-                           const auto &make_fork) {
-        sim.beginRun(stream);
-        for (std::size_t k = 0; k + 1 < order.size(); ++k) {
-            const TimingConfig &cfg = configs[order[k]];
-            // Cycle-boundary stops overshoot by up to retireWidth - 1
-            // commits, so aim a full retire burst short of the warmup
-            // edge.
-            sim.stepUntil(cfg.warmupBranches > cfg.retireWidth
-                              ? cfg.warmupBranches - cfg.retireWidth
-                              : 0,
-                          stream);
-            Program fork_prog = program.clone();
-            auto fork_hybrid = hybrid->clone();
-            auto fork_stream = make_fork(
-                fork_prog, cfg.warmupBranches + cfg.measureBranches);
-            TimingSim fork_sim(sim, fork_prog, *fork_hybrid, cfg);
-            results[order[k]] = fork_sim.resumeRun(*fork_stream);
-            if (obs) {
-                ++obs->snapshots;
-                obs->warmupBranchesSaved += sim.committedSoFar();
-            }
-        }
-        results[order.back()] = sim.finishRun(stream);
-    };
-
-    if (!w.tracePath.empty()) {
-        auto stream = openTraceStream(w.tracePath);
-        drive(*stream, [&](Program &, std::uint64_t) {
-            return stream->forkStream();
-        });
-    } else {
-        ProgramWalkStream stream(
-            program, canon.warmupBranches + canon.measureBranches);
-        drive(stream, [&](Program &fork_prog, std::uint64_t limit) {
-            return std::make_unique<ProgramWalkStream>(stream, fork_prog,
-                                                       limit);
-        });
-    }
-    return results;
-}
-
 std::vector<EngineStats>
 runSet(const std::vector<const Workload *> &set, const HybridSpec &spec)
 {
@@ -307,7 +220,12 @@ TimingStats
 runTiming(const Workload &w, const HybridSpec &spec,
           const TimingConfig &config)
 {
-    return std::move(runTimingChain(w, spec, {config}).front());
+    Program program = buildProgram(w);
+    auto hybrid = spec.build();
+    TimingSim sim(program, *hybrid, config);
+    if (w.tracePath.empty())
+        return sim.run();
+    return sim.run(*openTraceStream(w.tracePath));
 }
 
 std::vector<TimingStats>

@@ -100,23 +100,16 @@ H2PReport runH2P(const Workload &w, const HybridSpec &spec,
 /**
  * Per-chain observability (the sweep.fork.* host stats). An accuracy
  * chain serves every member but the canonical (longest) one as a
- * window of the canonical's run; a timing chain forks a clone of the
- * canonical for every other member.
+ * window of the canonical's run.
  */
 struct ChainObs
 {
-    /**
-     * Members served off the canonical run: windows (accuracy, one
-     * start snapshot of the counters each, nothing cloned) or mid-run
-     * clones (timing).
-     */
+    /** Members read as windows of the canonical run (one start
+     *  snapshot of the counters each). */
     std::uint64_t snapshots = 0;
 
-    /**
-     * Warmup branches not simulated again: each window's full warmup
-     * (accuracy), or the commits each clone inherited at its fork
-     * point (timing).
-     */
+    /** Warmup branches not simulated again: each window's full
+     *  warmup. */
     std::uint64_t warmupBranchesSaved = 0;
 };
 
@@ -128,7 +121,7 @@ struct ChainObs
  * the longest run: the engine runs once, to the largest
  * warmup + measure (capped by a trace's length), and each member's
  * stats are the counters at its end minus those at its start
- * (Engine::runWindows). Nothing is cloned. Stats and per-member
+ * (Engine::runWindows). Stats and per-member
  * statsOut exports are bit-identical to one independent run per
  * config. Results come back in @p configs order.
  *
@@ -142,22 +135,6 @@ struct ChainObs
 std::vector<EngineStats> runAccuracyChain(
     const Workload &w, const HybridSpec &spec,
     const std::vector<EngineConfig> &configs, ChainObs *obs = nullptr);
-
-/**
- * Fork chain for the timing model (DESIGN.md §11). A timing run is
- * not a window of a longer one: resolution stops at the run's branch
- * budget, so a later branch's flush changes what a cell fetches
- * before its last commit. The longest-warmup member (the canonical)
- * runs once; each other member forks cloned {program, predictor,
- * stream, simulator} state at a snapshot inside its own warmup and
- * runs its own remainder. In a chain of two or more, every config
- * must also satisfy timingForkable() — the measured budget has to
- * cover the window lookahead, or a short run's end-of-run stall
- * could diverge from the canonical before its snapshot (timing.hh).
- */
-std::vector<TimingStats> runTimingChain(
-    const Workload &w, const HybridSpec &spec,
-    const std::vector<TimingConfig> &configs, ChainObs *obs = nullptr);
 
 /**
  * Run a workload set under one spec, in parallel across workloads,
@@ -177,8 +154,9 @@ TimingConfig timingConfigFor(const Workload &w);
 TimingStats runTiming(const Workload &w, const HybridSpec &spec);
 
 /**
- * Run the timing model with explicit configuration: a runTimingChain
- * of one member.
+ * Run the timing model with explicit configuration: one TimingSim
+ * run over the workload's own stream. Timing cells never chain
+ * (DESIGN.md §11).
  */
 TimingStats runTiming(const Workload &w, const HybridSpec &spec,
                       const TimingConfig &config);

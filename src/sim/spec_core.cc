@@ -46,23 +46,6 @@ SpecCore<Payload>::SpecCore(Program &program_,
 }
 
 template <typename Payload>
-SpecCore<Payload>::SpecCore(const SpecCore &other, Program &program_,
-                            ProphetCriticHybrid &hybrid_,
-                            CommitSink *sink)
-    : program(program_), hybrid(hybrid_), cfg(other.cfg),
-      btb(other.btb), slab(other.slab), headAbs(other.headAbs),
-      tailAbs(other.tailAbs), firstUncritAbs(other.firstUncritAbs),
-      hitsFetched(other.hitsFetched), hitBits(other.hitBits),
-      fetchBlock(other.fetchBlock), specTraceIdx(other.specTraceIdx)
-{
-    // The oracle stream belongs to the forked-from run and cannot be
-    // duplicated from here; oracle-mode cells run as chains of one.
-    pcbp_assert(!cfg.oracleFutureBits && other.oracle == nullptr,
-                "cannot fork an oracle-future-bits core");
-    cfg.commitSink = sink;
-}
-
-template <typename Payload>
 void
 SpecCore<Payload>::beginRun(CommittedStream *oracle_,
                             std::uint64_t oracle_limit,
@@ -79,8 +62,8 @@ SpecCore<Payload>::beginRun(CommittedStream *oracle_,
     firstUncritAbs = 0;
     hitsFetched = 0;
     // Not strictly required — gathers never read ordinals >=
-    // hitsFetched — but a clean ring keeps forked/reused cores
-    // bit-for-bit comparable in memory dumps.
+    // hitsFetched — but a clean ring keeps reused cores bit-for-bit
+    // comparable in memory dumps.
     std::fill(hitBits.begin(), hitBits.end(), 0);
 }
 

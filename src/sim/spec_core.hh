@@ -223,20 +223,6 @@ class SpecCore
              const SpecCoreConfig &config);
 
     /**
-     * Fork (DESIGN.md §11): duplicate @p other's mid-run state — the
-     * queue slab with every checkpoint, BTB, fetch pointer, cursors —
-     * onto caller-supplied clones of its program and hybrid. The fork
-     * borrows @p program and @p hybrid exactly as the primary
-     * constructor does. The commit sink is NOT inherited (@p sink
-     * replaces it; forks report to their own consumer or to none),
-     * nor is the observability slab (attachObs per fork). An oracle
-     * stream cannot be duplicated here, so forking an oracle-mode
-     * core is refused.
-     */
-    SpecCore(const SpecCore &other, Program &program,
-             ProphetCriticHybrid &hybrid, CommitSink *sink);
-
-    /**
      * Arm the core for a run: clear the queue and point speculative
      * fetch at @p start_block. @p oracle (with records below
      * @p oracle_limit readable) is required iff oracleFutureBits is

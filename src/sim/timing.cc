@@ -33,38 +33,6 @@ TimingSim::TimingSim(Program &program_, ProphetCriticHybrid &hybrid_,
                 "FTQ must be deeper than the future-bit count");
 }
 
-TimingSim::TimingSim(const TimingSim &other, Program &program_,
-                     ProphetCriticHybrid &hybrid_,
-                     const TimingConfig &config)
-    : program(program_), hybrid(hybrid_), cfg(config),
-      core(other.core, program_, hybrid_, config.commitSink),
-      coreObs(other.coreObs), window(other.window),
-      windowUops(other.windowUops), resolveIdx(other.resolveIdx),
-      commitIdx(other.commitIdx), now(other.now),
-      prophetStalledUntil(other.prophetStalledUntil),
-      cacheStalledUntil(other.cacheStalledUntil),
-      measureStartCycle(other.measureStartCycle)
-{
-    // Differing warmup/measure budgets (and per-fork stats/sink
-    // plumbing) are the point of forking; anything that shapes the
-    // simulated trajectory must match, or the fork would not be
-    // equivalent to an uninterrupted run.
-    pcbp_assert(cfg.ftqSize == other.cfg.ftqSize &&
-                    cfg.fetchWidth == other.cfg.fetchWidth &&
-                    cfg.retireWidth == other.cfg.retireWidth &&
-                    cfg.prophetBw == other.cfg.prophetBw &&
-                    cfg.criticBw == other.cfg.criticBw &&
-                    cfg.resolveDepth == other.cfg.resolveDepth &&
-                    cfg.windowSize == other.cfg.windowSize &&
-                    cfg.redirectPenalty == other.cfg.redirectPenalty &&
-                    cfg.frontEndRefill == other.cfg.frontEndRefill &&
-                    cfg.useBtb == other.cfg.useBtb &&
-                    cfg.btbEntries == other.cfg.btbEntries &&
-                    cfg.btbWays == other.cfg.btbWays,
-                "fork configuration changes simulated behavior");
-    core.attachObs(cfg.statsOut ? &coreObs : nullptr);
-}
-
 void
 TimingSim::critiqueFtqEntry(std::size_t idx, bool partial)
 {
@@ -249,13 +217,6 @@ TimingSim::run()
 TimingStats
 TimingSim::run(CommittedStream &committed)
 {
-    beginRun(committed);
-    return finishRun(committed);
-}
-
-void
-TimingSim::beginRun(CommittedStream &committed)
-{
     totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
                              committed.length());
 
@@ -273,13 +234,8 @@ TimingSim::beginRun(CommittedStream &committed)
     window.clear();
     stats = TimingStats{};
     measureStartCycle = 0;
-}
 
-bool
-TimingSim::stepUntil(std::uint64_t commit_target,
-                     CommittedStream &committed)
-{
-    while (commitIdx < totalBranches && commitIdx < commit_target) {
+    while (commitIdx < totalBranches) {
         stepResolve(committed);
         stepRetire(committed);
         stepCritic();
@@ -287,31 +243,6 @@ TimingSim::stepUntil(std::uint64_t commit_target,
         stepProphet();
         ++now;
     }
-    return commitIdx < totalBranches;
-}
-
-TimingStats
-TimingSim::resumeRun(CommittedStream &committed)
-{
-    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
-                             committed.length());
-    // Every measured counter gates on measuring(), and the measured
-    // clock starts the cycle commitIdx reaches warmupBranches —
-    // neither has fired while the snapshot is still inside warmup, so
-    // the fork reproduces an uninterrupted run's stats exactly.
-    pcbp_assert(commitIdx < cfg.warmupBranches,
-                "fork past the start of its measured window");
-    pcbp_assert(timingForkable(cfg),
-                "forked a cell whose budget does not cover the window");
-    pcbp_assert(committed.produced() <= totalBranches,
-                "forked stream ahead of this fork's budget");
-    return finishRun(committed);
-}
-
-TimingStats
-TimingSim::finishRun(CommittedStream &committed)
-{
-    stepUntil(totalBranches, committed);
 
     stats.cycles = now - measureStartCycle;
     if (cfg.statsOut)

@@ -129,64 +129,14 @@ class TimingSim
     TimingSim(Program &program, ProphetCriticHybrid &hybrid,
               const TimingConfig &config);
 
-    /**
-     * Fork (DESIGN.md §11): duplicate @p other's mid-run state — FTQ
-     * and BTB (via the spec core), instruction window, clock, stall
-     * deadlines, cursors — onto @p program and @p hybrid, which must
-     * be clone()s of @p other's at the same point. @p config supplies
-     * this fork's own warmup/measure budget, stats registry, and
-     * commit sink; everything that shapes simulated behavior (widths,
-     * latencies, FTQ/window/BTB geometry) must match @p other's.
-     * Continue with resumeRun().
-     */
-    TimingSim(const TimingSim &other, Program &program,
-              ProphetCriticHybrid &hybrid, const TimingConfig &config);
-
     /** Run over the program's own committed walk (streamed). */
     TimingStats run();
 
     /** Run against an explicit committed stream (trace replay). */
     TimingStats run(CommittedStream &committed);
 
-    /** @name Split-phase execution (fork-based sweeps, DESIGN.md §11)
-     *
-     * run(committed) == beginRun(); stepUntil(...); finishRun();.
-     * Pauses land on cycle boundaries, so a stop is "at least N
-     * commits" rather than exactly N: up to retireWidth branches can
-     * commit per cycle, and the chain runner accounts for that margin
-     * when it picks snapshot targets.
-     */
-    /// @{
-
-    /** Arm a run over @p committed (resets clock, cursors, stats). */
-    void beginRun(CommittedStream &committed);
-
-    /**
-     * Advance whole cycles until at least @p commit_target branches
-     * have committed (or the run ends). Stops at a cycle boundary
-     * with committedSoFar() in [commit_target,
-     * commit_target + retireWidth - 1]. @return false once the run
-     * ended.
-     */
-    bool stepUntil(std::uint64_t commit_target,
-                   CommittedStream &committed);
-
-    /** Run to completion and export/return the stats. */
-    TimingStats finishRun(CommittedStream &committed);
-
-    /**
-     * Entry point for a forked simulator: adopt @p committed (a
-     * mid-stream fork positioned exactly where the forked-from run
-     * paused) and run this fork's own budget to completion. Must
-     * still be inside this fork's warmup; the chain runner
-     * additionally guarantees measureBranches covers the window
-     * lookahead (see timingForkable()).
-     */
-    TimingStats resumeRun(CommittedStream &committed);
-
-    /** Committed branches so far (the fork/snapshot cursor). */
+    /** Branches the last run committed, warmup included. */
     std::uint64_t committedSoFar() const { return commitIdx; }
-    /// @}
 
   private:
     using FtqRecord = SpecRecord<FtqPayload>;
@@ -231,22 +181,6 @@ class TimingSim
     TimingStats stats;
     Cycle measureStartCycle = 0;
 };
-
-/**
- * Whether a timing cell with this budget may be forked mid-run
- * (DESIGN.md §11). stepResolve stops at speculative blocks past the
- * run's branch budget, so a short-budget run can diverge from a
- * longer canonical one while the instruction window is still inside
- * warmup lookahead; covering the window depth (>= 1 uop per block)
- * plus one retire burst makes the trajectories provably identical up
- * to any in-warmup snapshot. Short-measure cells run as chains of
- * one instead.
- */
-inline bool
-timingForkable(const TimingConfig &cfg)
-{
-    return cfg.measureBranches >= cfg.windowSize + cfg.retireWidth;
-}
 
 } // namespace pcbp
 

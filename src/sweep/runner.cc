@@ -18,10 +18,9 @@ namespace
 /**
  * A schedulable piece of a sweep: the pending cells of one fork
  * group, executed as one chain (DESIGN.md §11) — a single canonical
- * simulation that every accuracy member reads as a window of, or
- * that every other timing member forks a clone of. A unit of one
- * member is a plain run; a unit is a chain exactly when it has more
- * than one member.
+ * accuracy simulation that every member reads as a window of. A
+ * unit of one member is a plain run; a unit is a chain exactly when
+ * it has more than one member.
  */
 struct SweepUnit
 {
@@ -37,11 +36,11 @@ chainable(const std::vector<const SweepCell *> &group)
     if (group.size() < 2)
         return false; // nothing shared; a chain of one is the same work
     for (const SweepCell *cell : group) {
+        if (cell->timing)
+            return false; // a timing run is no window of a longer one
         if (cell->oracleFutureBits)
-            return false; // the oracle stream cannot be forked
+            return false; // the oracle reads past a window's end
         if (cell->warmupBranches < 1)
-            return false;
-        if (cell->timing && !timingForkable(cell->timingConfig()))
             return false;
     }
     return true;
@@ -175,25 +174,15 @@ runSweep(const SweepSpec &spec, ResultStore &store,
         std::vector<CellResult> unitResults(unit.members.size());
         ChainObs chainObs;
 
-        // One canonical simulation per unit (DESIGN.md §11): timing
-        // members fork a clone of it inside their warmup, accuracy
-        // members read a window of it; either way bit-identical to a
-        // chain of one per cell.
+        // One canonical simulation per unit (DESIGN.md §11): every
+        // accuracy member reads a window of it, bit-identical to a
+        // chain of one per cell. Timing cells always run alone.
         if (first.timing) {
-            std::vector<TimingConfig> cfgs;
-            cfgs.reserve(unit.members.size());
-            for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                TimingConfig tc = pending[unit.members[j]]->timingConfig();
-                if (collect)
-                    tc.statsOut = &regs[j];
-                cfgs.push_back(tc);
-            }
-            const std::vector<TimingStats> stats = runTimingChain(
-                *first.workload, first.spec, cfgs, &chainObs);
-            for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                unitResults[j] = CellResult::fromTimingRun(
-                    *pending[unit.members[j]], stats[j]);
-            }
+            TimingConfig tc = first.timingConfig();
+            if (collect)
+                tc.statsOut = &regs[0];
+            unitResults[0] = CellResult::fromTimingRun(
+                first, runTiming(*first.workload, first.spec, tc));
         } else {
             std::vector<EngineConfig> cfgs;
             cfgs.reserve(unit.members.size());

@@ -71,15 +71,15 @@ struct SweepRunOptions
     SpanTracer *tracer = nullptr;
 
     /**
-     * Chained execution (DESIGN.md §11): cells that differ only in
-     * run lengths (same workload, predictor recipe, and mode — equal
-     * SweepCell::forkGroupKey()) share one simulation — accuracy
-     * cells read windows of the longest run, timing cells fork a
-     * clone at their snapshot point — so every shared prefix is
-     * simulated once. Stores, exports, and stats stay
-     * bit-identical with forking on or off (and across `jobs`);
-     * off plans every cell as a chain of one (one full simulation
-     * per cell) through the same execution path.
+     * Chained execution (DESIGN.md §11): accuracy cells that differ
+     * only in run lengths (same workload and predictor recipe —
+     * equal SweepCell::forkGroupKey()) share one simulation, each
+     * read as a window of the longest run, so every shared prefix is
+     * simulated once. Timing cells always run alone. Stores,
+     * exports, and stats stay bit-identical with forking on or off
+     * (and across `jobs`); off plans every cell as a chain of one
+     * (one full simulation per cell) through the same execution
+     * path.
      */
     bool fork = true;
 };

@@ -92,9 +92,10 @@ struct SweepCell
      * key() minus the run-length fields (mb=, wb=). Cells sharing a
      * fork-group key run the *same simulation* — workload, predictor
      * recipe, mode — and differ only in where warmup ends and how
-     * far the measured window runs, so the runner simulates them as
-     * one chain (DESIGN.md §11): accuracy cells read windows of the
-     * longest run; timing cells fork cloned state off a canonical.
+     * far the measured window runs. The runner simulates a group of
+     * accuracy cells as one chain whose members read windows of the
+     * longest run (DESIGN.md §11); timing cells run alone whatever
+     * their group.
      */
     std::string forkGroupKey() const;
 
@@ -155,12 +156,12 @@ class SweepSpec
      * cell per configuration (PCBP_BENCH_SCALE applies, floored at
      * 100). Empty keeps the derived default (a tenth of the measured
      * budget, or the workload's own). The warmup-sensitivity figure
-     * and the fork benches sweep this axis; its cells differ only in
-     * run lengths, so they share one simulation per configuration
-     * (DESIGN.md §11): one accuracy run read as a window per warmup,
-     * or one timing run forked per warmup. On a `trace:` workload a
-     * warmup at or past the trace's record count is fatal in
-     * cells(): its measured window would be empty.
+     * and the fork benches sweep this axis; its accuracy cells differ
+     * only in run lengths, so they share one simulation per
+     * configuration, read as a window per warmup (DESIGN.md §11).
+     * Timing cells run one full simulation per warmup. On a `trace:`
+     * workload a warmup at or past the trace's record count is fatal
+     * in cells(): its measured window would be empty.
      */
     std::vector<std::uint64_t> warmups;
 

@@ -59,13 +59,6 @@ class BranchBehavior
     /** Restore initial state (for re-walking a program). */
     virtual void reset() = 0;
 
-    /**
-     * Deep copy, mid-stream state included: the clone's outcome
-     * sequence continues exactly where this behavior's would. The
-     * fork seam of the sweep runner (DESIGN.md §11) relies on this.
-     */
-    virtual BranchBehaviorPtr clone() const = 0;
-
     /** Short description, e.g.\ "loop(7)". */
     virtual std::string describe() const = 0;
 };
@@ -77,10 +70,6 @@ class BiasedBehavior : public BranchBehavior
     BiasedBehavior(double p, std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<BiasedBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -96,10 +85,6 @@ class LoopBehavior : public BranchBehavior
     explicit LoopBehavior(unsigned period);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<LoopBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -115,10 +100,6 @@ class PatternBehavior : public BranchBehavior
                     std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PatternBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -140,10 +121,6 @@ class LocalParityBehavior : public BranchBehavior
     LocalParityBehavior(unsigned width, double noise, std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<LocalParityBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -166,10 +143,6 @@ class GlobalParityBehavior : public BranchBehavior
                          double noise, std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<GlobalParityBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -195,10 +168,6 @@ class GlobalXorBehavior : public BranchBehavior
                       double noise, std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<GlobalXorBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -222,10 +191,6 @@ class GlobalEchoBehavior : public BranchBehavior
                        std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<GlobalEchoBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -285,10 +250,6 @@ class PhaseRevealBehavior : public BranchBehavior
                         std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhaseRevealBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -313,10 +274,6 @@ class PhaseXorBehavior : public BranchBehavior
                      std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhaseXorBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -345,10 +302,6 @@ class PhasedLoopBehavior : public BranchBehavior
                        unsigned period_b);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhasedLoopBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:
@@ -370,10 +323,6 @@ class PhasedBehavior : public BranchBehavior
                    double bias_a, double bias_b, std::uint64_t seed);
     bool nextOutcome(const ArchContext &ctx) override;
     void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhasedBehavior>(*this);
-    }
     std::string describe() const override;
 
   private:

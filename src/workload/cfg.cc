@@ -76,25 +76,6 @@ Program::resetWalk()
         b.behavior->reset();
 }
 
-Program
-Program::clone() const
-{
-    Program out(progName);
-    out.blocks.reserve(blocks.size());
-    for (const auto &b : blocks) {
-        BasicBlock copy;
-        copy.branchPc = b.branchPc;
-        copy.numUops = b.numUops;
-        copy.takenTarget = b.takenTarget;
-        copy.fallthroughTarget = b.fallthroughTarget;
-        copy.behavior = b.behavior ? b.behavior->clone() : nullptr;
-        out.blocks.push_back(std::move(copy));
-    }
-    out.committed = committed;
-    out.commits = commits;
-    return out;
-}
-
 std::vector<CommittedBranch>
 walkProgram(Program &program, std::uint64_t num_branches)
 {

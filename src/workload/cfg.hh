@@ -76,19 +76,8 @@ class Program
     /** Committed global outcome history (bit 0 newest). */
     const HistoryRegister &committedHistory() const { return committed; }
 
-    /** Number of architectural evaluations so far. */
-    std::uint64_t commitCount() const { return commits; }
-
     /** Reset the walker and all behavior state. */
     void resetWalk();
-
-    /**
-     * Deep copy, mid-walk state included: blocks (behaviors cloned),
-     * committed history, and the commit counter. The clone's
-     * architectural walk continues exactly where this program's
-     * would — the fork seam of the sweep runner (DESIGN.md §11).
-     */
-    Program clone() const;
 
   private:
     std::string progName;

@@ -13,8 +13,8 @@
  * branch ordinal -> block file offset. The result is typically
  * 4-14x smaller than PCBPTRC1 and O(1) to seek: ordinal / block
  * records names the block, the index names its bytes, and at most
- * one block is decoded to land on any branch — which is what makes
- * fork-based mid-trace warmup cheap on real traces (DESIGN.md §11).
+ * one block is decoded to land on any branch (blockOfOrdinal +
+ * decodeBlock).
  *
  * PCBPTRC1 stays the interchange format: conversion is lossless in
  * both directions (convertTraceFile), and every `trace:<path>`
@@ -77,8 +77,8 @@ struct Trace2Info
 /**
  * Read-only, mmap-backed view of a PCBPTRC2 file: the parsed header
  * and footer (static dictionary + block index) plus per-block decode.
- * Immutable after open, so concurrent readers — and the stream forks
- * of DESIGN.md §11 — share one mapping through a shared_ptr.
+ * Immutable after open, so concurrent readers share one mapping
+ * through a shared_ptr.
  *
  * tryOpen() validates everything reachable without decoding blocks:
  * magic, version, geometry, footer bounds, index monotonicity, and

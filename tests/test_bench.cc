@@ -17,7 +17,9 @@
  *    (forcing ring growth + wraparound) stays deterministic.
  */
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -120,6 +122,36 @@ TEST(BenchReport, JsonRoundTrips)
         EXPECT_DOUBLE_EQ(parsed.results[i].m.nsMedian,
                          run.results[i].m.nsMedian);
     }
+}
+
+/** `pcbp_bench run --out` into a fresh nested path: the directory
+ *  is made up front and the artifacts land in it. */
+TEST(BenchReport, OutDirIsCreatedBeforeWriting)
+{
+    const std::string dir =
+        testing::TempDir() + "bench_out_fresh/nested/dir";
+    std::filesystem::remove_all(testing::TempDir() + "bench_out_fresh");
+    makeBenchOutDir(dir);
+    const BenchRun run = fakeRun({fakeResult("engine.x", "engine",
+                                             2.0e6, 1000)});
+    const std::string stem = writeBenchRun(run, dir);
+    EXPECT_EQ(stem, dir + "/BENCH_fake");
+    const BenchRun back = loadBenchRun(dir + "/BENCH_fake.json");
+    EXPECT_EQ(benchRunToJson(back), benchRunToJson(run));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/BENCH_fake.md"));
+    std::filesystem::remove_all(testing::TempDir() + "bench_out_fresh");
+}
+
+/** An --out that cannot be a directory fails before any run. */
+TEST(BenchReport, UncreatableOutDirIsFatal)
+{
+    const std::string file = testing::TempDir() + "bench_out_file";
+    std::ofstream(file) << "not a directory\n";
+    EXPECT_EXIT(makeBenchOutDir(file), testing::ExitedWithCode(1),
+                "cannot create '" + file + "'");
+    EXPECT_EXIT(makeBenchOutDir(file + "/sub"),
+                testing::ExitedWithCode(1), "cannot create");
+    std::remove(file.c_str());
 }
 
 TEST(BenchReport, RejectsUnknownSchema)

@@ -2,14 +2,10 @@
  * @file
  * Chain equivalence tests (DESIGN.md §11).
  *
- * The chain executor rests on two claims. An accuracy run of
+ * The chain executor rests on one claim: an accuracy run of
  * (warmup, measure) is a window of any longer run of the same
  * configuration, so one Engine run serves every member of a warmup
- * ladder. A timing run cannot be read as a window, so cloning a
- * mid-warmup TimingSim — program behaviors, predictor, spec core,
- * committed stream — and resuming the clone must produce
- * *bit-identical* results to an uninterrupted run. These tests pin
- * both claims registry-wide:
+ * ladder. These tests pin it registry-wide:
  *
  * - for every factory prophet and every critic kind, a three-member
  *   accuracy chain equals three direct Engine runs, field by field
@@ -17,16 +13,12 @@
  *   the checkpoint slab, on a recovery-heavy workload, with a member
  *   clamped at a trace's end, with a longest run that is not the
  *   largest warmup, and with per-branch collection;
- * - on the timing model, a run forked at an arbitrary in-warmup
- *   branch must reproduce the uninterrupted run's commit-order event
- *   stream (canonical prefix + fork suffix, event by event) and its
- *   final stats, surviving recovery-heavy configurations around the
- *   fork point;
- * - the chain drivers (runAccuracyChain / runTimingChain) must equal
- *   one directly constructed simulator run per cell (a chain of one
- *   included), and the sweep runner's stores — `--cell-stats` blocks
- *   included — must be byte-identical with forking on or off, at any
- *   job count.
+ * - runAccuracyChain must equal one directly constructed Engine run
+ *   per cell (a chain of one included), and the sweep runner's
+ *   stores — `--cell-stats` blocks included — must be byte-identical
+ *   with forking on or off, at any job count. Timing cells never
+ *   chain, so a timing warmup ladder stores the same bytes either
+ *   way.
  */
 
 #include <gtest/gtest.h>
@@ -121,193 +113,23 @@ expectSameStats(const EngineStats &a, const EngineStats &b)
     }
 }
 
-void
-expectSameStats(const TimingStats &a, const TimingStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedUops, b.committedUops);
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
-    EXPECT_EQ(a.fetchedUops, b.fetchedUops);
-    EXPECT_EQ(a.wrongPathFetchedUops, b.wrongPathFetchedUops);
-    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
-    EXPECT_EQ(a.ftqEntriesFlushedByCritic,
-              b.ftqEntriesFlushedByCritic);
-    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
-    EXPECT_EQ(a.ftqEmptyCycles, b.ftqEmptyCycles);
-}
-
-/** Uninterrupted timing run: full event stream + stats. */
-std::pair<std::vector<CommitEvent>, TimingStats>
-timingStraight(const WorkloadRecipe &recipe, const HybridSpec &spec,
-               TimingConfig cfg)
-{
-    Program p = generateProgram(recipe);
-    auto h = spec.build();
-    RecordingSink sink;
-    cfg.commitSink = &sink;
-    const TimingStats st = TimingSim(p, *h, cfg).run();
-    return {std::move(sink.events), st};
-}
-
-/**
- * Timing analogue of engineForked. The pause lands on a cycle
- * boundary at or past @p fork_target (stepUntil can overshoot by up
- * to retireWidth-1 commits), so the target keeps that margin inside
- * warmup, exactly as the chain driver does.
- */
-std::pair<std::vector<CommitEvent>, TimingStats>
-timingForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
-             TimingConfig cfg, std::uint64_t fork_target)
-{
-    const std::uint64_t total =
-        cfg.warmupBranches + cfg.measureBranches;
-
-    Program p = generateProgram(recipe);
-    auto h = spec.build();
-    RecordingSink canon_sink;
-    TimingConfig canon_cfg = cfg;
-    canon_cfg.commitSink = &canon_sink;
-    TimingSim canon(p, *h, canon_cfg);
-    ProgramWalkStream stream(p, total);
-    canon.beginRun(stream);
-    canon.stepUntil(fork_target, stream);
-    EXPECT_GE(canon.committedSoFar(), fork_target);
-    EXPECT_LT(canon.committedSoFar(), cfg.warmupBranches);
-
-    Program fork_prog = p.clone();
-    auto fork_hybrid = h->clone();
-    RecordingSink fork_sink;
-    TimingConfig fork_cfg = cfg;
-    fork_cfg.commitSink = &fork_sink;
-    ProgramWalkStream fork_stream(stream, fork_prog, total);
-    TimingSim fork(canon, fork_prog, *fork_hybrid, fork_cfg);
-    const TimingStats st = fork.resumeRun(fork_stream);
-
-    std::vector<CommitEvent> events = std::move(canon_sink.events);
-    events.insert(events.end(), fork_sink.events.begin(),
-                  fork_sink.events.end());
-    return {std::move(events), st};
-}
-
-TimingConfig
-smallTiming()
-{
-    TimingConfig cfg;
-    // Must clear the forkability floor (measure >= window + retire).
-    cfg.measureBranches = 4000;
-    cfg.warmupBranches = 600;
-    return cfg;
-}
-
-// ------------------------------------------ registry-wide timing forks
-
-/** The timing model honors the same contract, registry-wide. */
-TEST(Fork, TimingMatchesUninterruptedForEveryProphet)
-{
-    for (const ProphetKind kind : allProphetKinds()) {
-        const WorkloadRecipe recipe = forkRecipe(33);
-        const HybridSpec spec = prophetAlone(kind, Budget::B2KB);
-        const TimingConfig cfg = smallTiming();
-        ASSERT_TRUE(timingForkable(cfg));
-        const auto [ref_events, ref_stats] =
-            timingStraight(recipe, spec, cfg);
-
-        for (const std::uint64_t target : {37ull, 500ull}) {
-            SCOPED_TRACE(prophetKindName(kind) + " target " +
-                         std::to_string(target));
-            const auto [events, stats] =
-                timingForked(recipe, spec, cfg, target);
-            expectSameEvents(events, ref_events);
-            expectSameStats(stats, ref_stats);
-        }
-    }
-}
-
-/** Timing hybrid (critic overrides + FTQ flushes around the fork). */
-TEST(Fork, TimingMatchesUninterruptedForHybrid)
-{
-    const WorkloadRecipe recipe = forkRecipe(34);
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8);
-    const TimingConfig cfg = smallTiming();
-    const auto [ref_events, ref_stats] =
-        timingStraight(recipe, spec, cfg);
-    const auto [events, stats] = timingForked(recipe, spec, cfg, 433);
-    expectSameEvents(events, ref_events);
-    expectSameStats(stats, ref_stats);
-}
-
-// ----------------------------------------------- timing stress cases
-
-/**
- * Checkpoint-slab growth: an FTQ deeper than the spec core's initial
- * slab capacity forces mid-run reallocation; forking after the
- * growth must still be exact (absolute indices survive the copy).
- */
-TEST(Fork, TimingSurvivesCheckpointSlabGrowth)
-{
-    const WorkloadRecipe recipe = forkRecipe(35);
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8);
-    TimingConfig cfg = smallTiming();
-    cfg.ftqSize = 96; // > the initial 64-entry slab
-    const auto [ref_events, ref_stats] =
-        timingStraight(recipe, spec, cfg);
-    for (const std::uint64_t target : {5ull, 480ull}) {
-        SCOPED_TRACE("target " + std::to_string(target));
-        const auto [events, stats] =
-            timingForked(recipe, spec, cfg, target);
-        expectSameEvents(events, ref_events);
-        expectSameStats(stats, ref_stats);
-    }
-}
-
-/**
- * Recovery-heavy forking: a tiny prophet on a phase-churning
- * workload flushes constantly, so snapshots routinely land with
- * in-flight wrong-path state; the clone must reproduce every
- * recovery.
- */
-TEST(Fork, TimingSurvivesRecoveryHeavyWorkload)
-{
-    WorkloadRecipe recipe = forkRecipe(36);
-    recipe.numPhaseChains = 6; // churn: phases invalidate history
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
-                   CriticKind::FilteredPerceptron, Budget::B2KB, 12);
-    const TimingConfig cfg = smallTiming();
-    const auto [ref_events, ref_stats] =
-        timingStraight(recipe, spec, cfg);
-    for (const std::uint64_t target : {63ull, 590ull}) {
-        SCOPED_TRACE("target " + std::to_string(target));
-        const auto [events, stats] =
-            timingForked(recipe, spec, cfg, target);
-        expectSameEvents(events, ref_events);
-        expectSameStats(stats, ref_stats);
-    }
-}
-
 // -------------------------------------------------- chain drivers
 
 /**
- * The chain drivers' reference: one directly constructed simulator
- * run over @p w's own stream. runAccuracy/runTiming are themselves
- * chains of one, so they cannot serve as an independent reference.
+ * The chain driver's reference: one directly constructed Engine run
+ * over @p w's own stream. runAccuracy is itself a chain of one, so
+ * it cannot serve as an independent reference.
  */
-template <typename Sim, typename Config>
-auto
-directRun(const Workload &w, const HybridSpec &spec, const Config &cfg)
+EngineStats
+directRun(const Workload &w, const HybridSpec &spec,
+          const EngineConfig &cfg)
 {
     Program p = buildProgram(w);
     auto h = spec.build();
-    Sim sim(p, *h, cfg);
+    Engine engine(p, *h, cfg);
     if (w.tracePath.empty())
-        return sim.run();
-    auto stream = openTraceStream(w.tracePath);
-    return sim.run(*stream);
+        return engine.run();
+    return engine.run(*openTraceStream(w.tracePath));
 }
 
 // ----------------------------------------------- accuracy windows
@@ -368,7 +190,7 @@ expectChainMatchesDirectRuns(const Workload &w, const HybridSpec &spec,
         StatRegistry direct_reg;
         EngineConfig cfg = configs[i];
         cfg.statsOut = &direct_reg;
-        expectSameStats(chained[i], directRun<Engine>(w, spec, cfg));
+        expectSameStats(chained[i], directRun(w, spec, cfg));
         EXPECT_EQ(chain_regs[i].simJson(), direct_reg.simJson());
     }
     return chained;
@@ -455,7 +277,7 @@ TEST(Fork, AccuracyChainWindowEdgesOnFlushes)
     probe.warmupBranches = 0;
     probe.measureBranches = 6000;
     probe.commitSink = &sink;
-    directRun<Engine>(w, spec, probe);
+    directRun(w, spec, probe);
     ASSERT_EQ(sink.events.size(), 6000u);
     std::vector<std::uint64_t> flushes;
     for (const CommitEvent &e : sink.events)
@@ -553,37 +375,7 @@ TEST(Fork, AccuracyChainMatchesIndividualRuns)
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
         expectSameStats(chained[i],
-                        directRun<Engine>(w, spec, configs[i]));
-    }
-}
-
-/** runTimingChain == one direct TimingSim run per config. */
-TEST(Fork, TimingChainMatchesIndividualRuns)
-{
-    const Workload &w = workloadByName("mm.mpeg");
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::GSkew, Budget::B8KB,
-                   CriticKind::TaggedGshare, Budget::B8KB, 8);
-
-    std::vector<TimingConfig> configs;
-    for (const std::uint64_t wb : {800ull, 2400ull}) {
-        TimingConfig cfg;
-        cfg.warmupBranches = wb;
-        cfg.measureBranches = 4000;
-        ASSERT_TRUE(timingForkable(cfg));
-        configs.push_back(cfg);
-    }
-
-    ChainObs obs;
-    const std::vector<TimingStats> chained =
-        runTimingChain(w, spec, configs, &obs);
-    EXPECT_EQ(obs.snapshots, configs.size() - 1);
-
-    ASSERT_EQ(chained.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i],
-                        directRun<TimingSim>(w, spec, configs[i]));
+                        directRun(w, spec, configs[i]));
     }
 }
 
@@ -610,7 +402,7 @@ TEST(Fork, SingleMemberChainMatchesDirectRunWithOracleAndSink)
         EngineConfig direct_cfg = cfg;
         direct_cfg.commitSink = &direct_sink;
         const EngineStats direct =
-            directRun<Engine>(w, spec, direct_cfg);
+            directRun(w, spec, direct_cfg);
 
         RecordingSink chain_sink;
         EngineConfig chain_cfg = cfg;
@@ -633,7 +425,8 @@ TEST(Fork, SingleMemberChainMatchesDirectRunWithOracleAndSink)
 /**
  * The end-to-end contract the executor advertises: the persisted
  * store of a shared-warmup grid is byte-identical with forking on or
- * off, at any job count — accuracy and timing grids alike.
+ * off, at any job count — accuracy and timing grids alike (a timing
+ * grid never chains, so its two plans run the same simulations).
  */
 TEST(Fork, SweepStoreBytesIdenticalForkVsReplay)
 {
@@ -684,11 +477,10 @@ struct RecordedTracePair
 };
 
 /**
- * The chain driver's fork seam on a PCBPTRC2 workload: a shared
- * warmup ladder over CompressedTraceStream forks (shared mmap
- * reader, copied decode cursor) must equal per-cell linear replays —
- * and the whole ladder must be format-invariant against the same
- * chain on the v1 flat file.
+ * The chain driver on a PCBPTRC2 workload: a shared warmup ladder
+ * read as windows of one compressed-trace replay must equal per-cell
+ * linear replays — and the whole ladder must be format-invariant
+ * against the same chain on the v1 flat file.
  */
 TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
 {
@@ -720,39 +512,8 @@ TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
         expectSameStats(chained[i],
-                        directRun<Engine>(w2, spec, configs[i]));
+                        directRun(w2, spec, configs[i]));
         expectSameStats(chained[i], chained_v1[i]);
-    }
-}
-
-/** Same seam through the timing chain. */
-TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
-{
-    const RecordedTracePair t(67, 7000);
-    const Workload &w = workloadByName("trace:" + t.v2);
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::GSkew, Budget::B8KB,
-                   CriticKind::TaggedGshare, Budget::B8KB, 8);
-
-    std::vector<TimingConfig> configs;
-    for (const std::uint64_t wb : {800ull, 2400ull}) {
-        TimingConfig cfg;
-        cfg.warmupBranches = wb;
-        cfg.measureBranches = 4000;
-        ASSERT_TRUE(timingForkable(cfg));
-        configs.push_back(cfg);
-    }
-
-    ChainObs obs;
-    const std::vector<TimingStats> chained =
-        runTimingChain(w, spec, configs, &obs);
-    EXPECT_EQ(obs.snapshots, configs.size() - 1);
-
-    ASSERT_EQ(chained.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i],
-                        directRun<TimingSim>(w, spec, configs[i]));
     }
 }
 
@@ -881,50 +642,6 @@ TEST(Fork, CellStatsStoresIdenticalForkVsReplay)
             << "no per-cell stats block";
         EXPECT_EQ(storeBytes(true, 1), replay);
         EXPECT_EQ(storeBytes(true, 3), replay);
-    }
-}
-
-/**
- * Index-seeded replay: a stream opened at an arbitrary ordinal via
- * the footer index must emit exactly the linear stream's tail —
- * record for record, across both formats — while touching only the
- * blocks the tail actually spans.
- */
-TEST(Fork, SeekSeededStreamMatchesLinearReplayTail)
-{
-    const RecordedTracePair t(73, 4000);
-    const auto full = loadTrace(t.v1);
-    ASSERT_EQ(full.size(), 4000u);
-
-    for (const std::uint64_t ordinal : {0ull, 1ull, 255ull, 256ull,
-                                        1000ull, 3999ull}) {
-        SCOPED_TRACE("ordinal " + std::to_string(ordinal));
-        for (const std::string &path : {t.v1, t.v2}) {
-            auto s = openTraceStreamAt(path, ordinal);
-            ASSERT_EQ(s->length(), full.size());
-            for (std::uint64_t i = ordinal; i < full.size(); ++i) {
-                const CommittedBranch *r = s->at(i);
-                ASSERT_NE(r, nullptr) << path << " record " << i;
-                ASSERT_EQ(r->block, full[std::size_t(i)].block);
-                ASSERT_EQ(r->pc, full[std::size_t(i)].pc);
-                ASSERT_EQ(r->taken, full[std::size_t(i)].taken);
-                ASSERT_EQ(r->numUops, full[std::size_t(i)].numUops);
-                s->release(i + 1);
-            }
-            EXPECT_EQ(s->at(full.size()), nullptr);
-        }
-
-        // The compressed tail pays only for the blocks it spans
-        // (rpb 256 at conversion): one decode per touched block, no
-        // scan of the prefix.
-        CompressedTraceStream c(t.v2, ordinal);
-        for (std::uint64_t i = ordinal; i < full.size(); ++i) {
-            ASSERT_NE(c.at(i), nullptr);
-            c.release(i + 1);
-        }
-        EXPECT_EQ(c.blocksDecoded(),
-                  (full.size() + 255) / 256 - ordinal / 256);
-        EXPECT_EQ(c.seeks(), 1u);
     }
 }
 

@@ -294,7 +294,8 @@ TEST(ObsSweep, ForkCountersLandInHostSection)
     spec.branches = 2000;
     spec.warmups = {400, 800, 1200};
 
-    auto hostJson = [&](bool fork) {
+    // One run per plan: the host stats and the store bytes it wrote.
+    const auto runWith = [&](bool fork) {
         ResultStore store;
         StatRegistry reg;
         SweepRunOptions opt;
@@ -302,10 +303,11 @@ TEST(ObsSweep, ForkCountersLandInHostSection)
         opt.stats = &reg;
         opt.fork = fork;
         runSweep(spec, store, opt);
-        return reg.toJson();
+        return std::make_pair(reg.toJson(),
+                              ResultStore::exportJson(store.all()));
     };
 
-    const std::string on = hostJson(true);
+    const auto [on, on_store] = runWith(true);
     EXPECT_NE(on.find("\"sweep.fork.groups\":1"), std::string::npos)
         << on;
     EXPECT_NE(on.find("\"sweep.fork.snapshots\":2"),
@@ -316,15 +318,28 @@ TEST(ObsSweep, ForkCountersLandInHostSection)
               std::string::npos);
 
     // Forking off: the keys stay in the schema, pinned to zero.
-    const std::string off = hostJson(false);
-    EXPECT_NE(off.find("\"sweep.fork.groups\":0"), std::string::npos)
-        << off;
-    EXPECT_NE(off.find("\"sweep.fork.snapshots\":0"),
-              std::string::npos);
-    EXPECT_NE(off.find("\"sweep.fork.cells_forked\":0"),
-              std::string::npos);
-    EXPECT_NE(off.find("\"sweep.fork.warmup_branches_saved\":0"),
-              std::string::npos);
+    const auto expectNoChains = [](const std::string &json) {
+        EXPECT_NE(json.find("\"sweep.fork.groups\":0"),
+                  std::string::npos)
+            << json;
+        EXPECT_NE(json.find("\"sweep.fork.snapshots\":0"),
+                  std::string::npos);
+        EXPECT_NE(json.find("\"sweep.fork.cells_forked\":0"),
+                  std::string::npos);
+        EXPECT_NE(json.find("\"sweep.fork.warmup_branches_saved\":0"),
+                  std::string::npos);
+    };
+    const auto [off, off_store] = runWith(false);
+    expectNoChains(off);
+    EXPECT_EQ(on_store, off_store);
+
+    // The same ladder in timing mode never chains: a timing run is
+    // not a window of a longer one, so each cell runs alone, forking
+    // on or off, and the stores match byte for byte.
+    spec.timing = true;
+    const auto [timing_on, timing_on_store] = runWith(true);
+    expectNoChains(timing_on);
+    EXPECT_EQ(timing_on_store, runWith(false).second);
 }
 
 TEST(ObsSweep, CellStatsBlockRoundTripsAndStaysOptional)

@@ -8,8 +8,6 @@
  *   bit-identical to the scalar reference on every input, pad lanes
  *   included — integer-only arithmetic makes the reduction
  *   order-independent;
- * - clones of the SoA predictor state are deep copies, so the fork
- *   seam (DESIGN.md §11) cannot alias trained tables;
  * - the SoA containers (SatCounterTable) and hot-path bit helpers
  *   (foldBitsFixed, bitReverse64) match their element-wise
  *   references.
@@ -22,7 +20,6 @@
 
 #include "common/bit_utils.hh"
 #include "common/sat_counter.hh"
-#include "predictors/factory.hh"
 #include "predictors/simd.hh"
 
 namespace pcbp
@@ -110,45 +107,6 @@ TEST(SimdKernels, TrainMatchesScalarIncludingSaturation)
             simd::trainBipolarScalar(b.data(), n, lo, hi, false);
         }
         ASSERT_EQ(a, b) << "after saturating not-taken";
-    }
-}
-
-// ------------------------------------------------ clone independence
-
-HistoryRegister
-randomHistory(std::mt19937_64 &rng)
-{
-    HistoryRegister h;
-    const unsigned len = 1 + unsigned(rng() % 128);
-    for (unsigned i = 0; i < len; ++i)
-        h.shiftIn(rng() & 1);
-    return h;
-}
-
-/**
- * Clones taken mid-schedule stay equivalent: the SoA layouts must
- * deep-copy (no aliasing), since clone() is the fork seam the chain
- * runner forks with.
- */
-TEST(BatchApi, CloneOfSoAStateIsIndependent)
-{
-    std::mt19937_64 rng(31);
-    for (const ProphetKind kind : allProphetKinds()) {
-        SCOPED_TRACE(prophetKindName(kind));
-        const DirectionPredictorPtr a = makeProphet(kind, Budget::B2KB);
-        for (int i = 0; i < 500; ++i)
-            a->update((rng() % 1024) * 4, randomHistory(rng), rng() & 1);
-
-        const DirectionPredictorPtr b = a->clone();
-
-        // Diverge the original; the clone must not move.
-        const Addr pc = 4 * (rng() % 1024);
-        const HistoryRegister h = randomHistory(rng);
-        const bool before = b->predict(pc, h);
-        for (int i = 0; i < 2000; ++i)
-            a->update(pc, h, !before);
-        ASSERT_EQ(b->predict(pc, h), before)
-            << "clone aliased trained state";
     }
 }
 

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/stat_registry.hh"
 #include "predictors/static_pred.hh"
 #include "sim/driver.hh"
 #include "sim/spec_core.hh"
 #include "sim/timing.hh"
+#include "workload/generator.hh"
 
 namespace pcbp
 {
@@ -261,6 +263,133 @@ TEST(Timing, DeterministicAcrossRuns)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.committedUops, b.committedUops);
     EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
+}
+
+/** Commit-order event recording tap. */
+struct RecordingSink : CommitSink
+{
+    std::vector<CommitEvent> events;
+
+    void onCommit(const CommitEvent &e) override { events.push_back(e); }
+};
+
+/**
+ * Run @p cfg twice on fresh {program, predictor} pairs from
+ * @p recipe: once over the program's own walk with a stats registry
+ * attached, once over the precomputed committed path without one.
+ * Both runs must commit the same events in the same order and count
+ * the same stats. The first run exports into @p reg.
+ */
+void
+expectDeterministicTiming(const WorkloadRecipe &recipe,
+                          const HybridSpec &spec, TimingConfig cfg,
+                          StatRegistry &reg)
+{
+    RecordingSink walked_sink;
+    TimingConfig walked_cfg = cfg;
+    walked_cfg.commitSink = &walked_sink;
+    walked_cfg.statsOut = &reg;
+    Program p1 = generateProgram(recipe);
+    auto h1 = spec.build();
+    const TimingStats a = TimingSim(p1, *h1, walked_cfg).run();
+
+    RecordingSink replay_sink;
+    cfg.commitSink = &replay_sink;
+    Program p2 = generateProgram(recipe);
+    auto h2 = spec.build();
+    PrecomputedStream replay(
+        walkProgram(p2, cfg.warmupBranches + cfg.measureBranches));
+    const TimingStats b = TimingSim(p2, *h2, cfg).run(replay);
+
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.committedUops, b.committedUops);
+    EXPECT_EQ(a.committedBranches, b.committedBranches);
+    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
+    EXPECT_EQ(a.fetchedUops, b.fetchedUops);
+    EXPECT_EQ(a.wrongPathFetchedUops, b.wrongPathFetchedUops);
+    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
+    EXPECT_EQ(a.ftqEntriesFlushedByCritic, b.ftqEntriesFlushedByCritic);
+    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
+    EXPECT_EQ(a.ftqEmptyCycles, b.ftqEmptyCycles);
+    EXPECT_EQ(walked_sink.events.size(),
+              cfg.warmupBranches + cfg.measureBranches);
+    EXPECT_EQ(walked_sink.events.size(), replay_sink.events.size());
+    for (std::size_t i = 0; i < walked_sink.events.size() &&
+                            i < replay_sink.events.size();
+         ++i) {
+        const CommitEvent &x = walked_sink.events[i];
+        const CommitEvent &y = replay_sink.events[i];
+        ASSERT_EQ(x.index, y.index) << "at commit " << i;
+        ASSERT_EQ(x.block, y.block) << "at commit " << i;
+        ASSERT_EQ(x.pc, y.pc) << "at commit " << i;
+        ASSERT_EQ(x.numUops, y.numUops) << "at commit " << i;
+        ASSERT_EQ(x.btbHit, y.btbHit) << "at commit " << i;
+        ASSERT_EQ(x.prophetPred, y.prophetPred) << "at commit " << i;
+        ASSERT_EQ(x.finalPred, y.finalPred) << "at commit " << i;
+        ASSERT_EQ(x.critiqueProvided, y.critiqueProvided)
+            << "at commit " << i;
+        ASSERT_EQ(x.criticOverrode, y.criticOverrode)
+            << "at commit " << i;
+        ASSERT_EQ(x.outcome, y.outcome) << "at commit " << i;
+    }
+}
+
+/** A small randomized CFG workload; deterministic per seed. */
+WorkloadRecipe
+stressRecipe(std::uint64_t seed)
+{
+    WorkloadRecipe r;
+    r.name = "timing-stress-" + std::to_string(seed);
+    r.seed = seed;
+    r.targetBlocks = 140 + unsigned(seed % 5) * 25;
+    r.numChains = 4;
+    r.numPhaseChains = 2;
+    return r;
+}
+
+TimingConfig
+stressTiming()
+{
+    TimingConfig cfg;
+    cfg.measureBranches = 4000;
+    cfg.warmupBranches = 600;
+    return cfg;
+}
+
+/**
+ * Checkpoint-slab growth: an FTQ deeper than the spec core's initial
+ * slab capacity forces mid-run reallocation, and the run stays
+ * deterministic through it (absolute indices survive the regrowth).
+ */
+TEST(Timing, DeterministicThroughCheckpointSlabGrowth)
+{
+    TimingConfig cfg = stressTiming();
+    cfg.ftqSize = 96; // > the initial 64-entry slab
+    StatRegistry reg;
+    expectDeterministicTiming(
+        stressRecipe(35),
+        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
+                   CriticKind::TaggedGshare, Budget::B2KB, 8),
+        cfg, reg);
+    EXPECT_GE(reg.simValue("core.slab_growths"), 1u);
+}
+
+/**
+ * Recovery-heavy run: a tiny prophet on a phase-churning workload
+ * flushes constantly, with wrong-path state in flight at almost
+ * every cycle; every recovery must replay identically.
+ */
+TEST(Timing, DeterministicOnRecoveryHeavyWorkload)
+{
+    WorkloadRecipe recipe = stressRecipe(36);
+    recipe.numPhaseChains = 6; // churn: phases invalidate history
+    StatRegistry reg;
+    expectDeterministicTiming(
+        recipe,
+        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
+                   CriticKind::FilteredPerceptron, Budget::B2KB, 12),
+        stressTiming(), reg);
+    EXPECT_GE(reg.simValue("core.recoveries"), 100u);
 }
 
 TEST(Timing, FtqDeeperThanFutureBitsRequired)

@@ -11,10 +11,11 @@
  *   the original file;
  * - stream-equivalent: CompressedTraceStream yields the exact record
  *   sequence TraceFileStream yields, through the generic dispatch
- *   entry points and through forks;
+ *   entry point;
  * - O(1) seek: landing on an arbitrary ordinal via the footer index
- *   decodes at most one block (pinned by the blocksDecoded counter,
- *   exported as trace.store.* host stats);
+ *   (blockOfOrdinal + decodeBlock) decodes exactly one block, and a
+ *   stream's blocksDecoded counter is exported as trace.store.*
+ *   host stats;
  * - compact: >= 4x smaller than PCBPTRC1 on a recorded CFG-walk
  *   trace (the full 10M-branch criterion runs in test_longrun.cc);
  * - identified: `pcbp_trace info` output is deterministic and its
@@ -247,35 +248,6 @@ TEST(Trace2, CompressedStreamMatchesTraceFileStreamRecordForRecord)
     std::remove(v2.c_str());
 }
 
-TEST(Trace2, CompressedStreamForkContinuesIdentically)
-{
-    const std::string v1 = tmpPath("t2_fork.pcbptrc");
-    const std::string v2 = tmpPath("t2_fork.pcbptrc2");
-    Program p = generateProgram(traceRecipe(31));
-    const auto walk = walkProgram(p, 6000);
-    saveTrace(v1, walk);
-    convertTraceFile(v1, v2, true, 256);
-
-    auto s = openTraceStream(v2);
-    for (std::uint64_t i = 0; i < 2500; ++i) {
-        ASSERT_NE(s->at(i), nullptr);
-        s->release(i + 1);
-    }
-    auto fork = s->forkStream();
-    for (std::uint64_t i = 2500; i < walk.size(); ++i) {
-        const CommittedBranch *rf = fork->at(i);
-        ASSERT_NE(rf, nullptr);
-        ASSERT_EQ(rf->block, walk[std::size_t(i)].block) << i;
-        ASSERT_EQ(rf->taken, walk[std::size_t(i)].taken) << i;
-        fork->release(i + 1);
-    }
-    EXPECT_EQ(fork->at(walk.size()), nullptr);
-    // The original is untouched by the fork's progress.
-    ASSERT_NE(s->at(2500), nullptr);
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
-}
-
 // ------------------------------------------------------- O(1) seek
 
 TEST(Trace2, IndexSeekDecodesAtMostOneBlock)
@@ -288,39 +260,25 @@ TEST(Trace2, IndexSeekDecodesAtMostOneBlock)
     constexpr std::uint32_t rpb = 128;
     convertTraceFile(v1, v2, true, rpb);
 
+    // Land on random ordinals through the footer index: the block
+    // the index names holds the ordinal's true record at its offset,
+    // wherever in the file it lives.
+    const auto reader = Trace2Reader::open(v2);
     Rng rng(99);
+    std::vector<CommittedBranch> block;
     for (int iter = 0; iter < 20; ++iter) {
         const std::uint64_t ordinal = rng.nextBelow(walk.size());
-        CompressedTraceStream s(v2, ordinal);
-        EXPECT_EQ(s.seeks(), 1u);
-        EXPECT_EQ(s.blocksDecoded(), 0u) << "decode must be lazy";
-
-        // Land on the ordinal and read to the end of its block: one
-        // decode total, regardless of where in the file it lives.
-        const std::uint64_t block_end =
-            std::min<std::uint64_t>((ordinal / rpb + 1) * rpb,
-                                    walk.size());
-        for (std::uint64_t i = ordinal; i < block_end; ++i) {
-            const CommittedBranch *r = s.at(i);
-            ASSERT_NE(r, nullptr);
-            ASSERT_EQ(r->block, walk[std::size_t(i)].block)
-                << "ordinal " << ordinal << " record " << i;
-            ASSERT_EQ(r->pc, walk[std::size_t(i)].pc);
-            ASSERT_EQ(r->taken, walk[std::size_t(i)].taken);
-            ASSERT_EQ(r->numUops, walk[std::size_t(i)].numUops);
-            s.release(i);
-        }
-        EXPECT_EQ(s.blocksDecoded(), 1u)
-            << "seek to " << ordinal << " decoded more than one block";
+        const std::uint64_t b = reader->blockOfOrdinal(ordinal);
+        EXPECT_EQ(b, ordinal / rpb);
+        reader->decodeBlock(b, block);
+        ASSERT_EQ(block.size(), reader->blockLength(b));
+        const CommittedBranch &r = block[ordinal - b * rpb];
+        ASSERT_EQ(r.block, walk[std::size_t(ordinal)].block)
+            << "ordinal " << ordinal;
+        ASSERT_EQ(r.pc, walk[std::size_t(ordinal)].pc);
+        ASSERT_EQ(r.taken, walk[std::size_t(ordinal)].taken);
+        ASSERT_EQ(r.numUops, walk[std::size_t(ordinal)].numUops);
     }
-
-    // The generic factory honors the same bound on both formats.
-    auto seeked = openTraceStreamAt(v2, walk.size() / 2);
-    ASSERT_NE(seeked->at(walk.size() / 2), nullptr);
-    auto seeked1 = openTraceStreamAt(v1, walk.size() / 2);
-    ASSERT_NE(seeked1->at(walk.size() / 2), nullptr);
-    EXPECT_EQ(seeked->at(walk.size() / 2)->pc,
-              seeked1->at(walk.size() / 2)->pc);
     std::remove(v1.c_str());
     std::remove(v2.c_str());
 }
@@ -369,8 +327,6 @@ TEST(Trace2, EngineReplayMatchesAcrossFormatsAndExportsStoreStats)
     EXPECT_NE(rb.toJson().find("\"trace.store.blocks_decoded\""),
               std::string::npos);
     EXPECT_NE(rb.toJson().find("\"trace.store.bytes_mapped\""),
-              std::string::npos);
-    EXPECT_NE(rb.toJson().find("\"trace.store.seeks\""),
               std::string::npos);
     std::remove(v1.c_str());
     std::remove(v2.c_str());

@@ -13,7 +13,8 @@
  *       "engine.,timing.") and
  *       write `BENCH_<LABEL>.json` (deterministic pcbp-bench-1
  *       schema) plus `BENCH_<LABEL>.md` (the Markdown summary, also
- *       printed to stdout) into DIR (default "."). --workload
+ *       printed to stdout) into DIR (default "."; created, parents
+ *       included, before anything runs). --workload
  *       retargets the engine/timing benches at any registry workload
  *       or trace:<path>. PCBP_BENCH_SCALE scales the work.
  *       --trace-out writes a Perfetto-loadable span trace of every
@@ -42,7 +43,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <vector>
 #include <iostream>
 #include <string>
@@ -150,20 +150,11 @@ cmdList()
     return 0;
 }
 
-void
-writeFileOrDie(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        pcbp_fatal("cannot write '", path, "'");
-    out << content;
-    if (!out.flush())
-        pcbp_fatal("short write to '", path, "'");
-}
-
 int
 cmdRun(const Args &a)
 {
+    makeBenchOutDir(a.out);
+
     BenchContext ctx;
     ctx.quick = a.quick;
     ctx.workload = a.workload;
@@ -179,11 +170,8 @@ cmdRun(const Args &a)
 
     const BenchRun run =
         BenchRun::fromResults(a.name, ctx, runBenches(defs, ctx));
-    const std::string stem = a.out + "/BENCH_" + a.name;
-    const ReportTable table = benchRunTable(run);
-    writeFileOrDie(stem + ".json", benchRunToJson(run));
-    writeFileOrDie(stem + ".md", table.toMarkdown());
-    std::cout << table.toMarkdown();
+    const std::string stem = writeBenchRun(run, a.out);
+    std::cout << benchRunTable(run).toMarkdown();
     std::fprintf(stderr, "wrote %s.json and %s.md\n", stem.c_str(),
                  stem.c_str());
 

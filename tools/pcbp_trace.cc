@@ -377,7 +377,7 @@ cmdReplay(const std::string &path, int argc, char **argv)
         cfg.measureBranches = measure;
         TimingSim sim(program, *hybrid, cfg);
         auto streamPtr = openTraceStream(path);
-        TraceStream &stream = *streamPtr;
+        CommittedStream &stream = *streamPtr;
         const TimingStats st = sim.run(stream);
         std::printf("  committed        %" PRIu64 " branches / "
                     "%" PRIu64 " uops\n",
@@ -394,7 +394,7 @@ cmdReplay(const std::string &path, int argc, char **argv)
         cfg.measureBranches = measure;
         Engine engine(program, *hybrid, cfg);
         auto streamPtr = openTraceStream(path);
-        TraceStream &stream = *streamPtr;
+        CommittedStream &stream = *streamPtr;
         const EngineStats st = engine.run(stream);
         std::printf("  committed        %" PRIu64 " branches / "
                     "%" PRIu64 " uops\n",
